@@ -86,7 +86,9 @@ int main() {
     for (const auto& m : training) train_raw.push_back(m.as_vector());
 
     t0 = Clock::now();
-    const Eigenmemory pca = Eigenmemory::fit(train_raw, opts.pca);
+    // The serving trainer's PCA (AnomalyDetector::train with a fixed L').
+    const Eigenmemory pca = Eigenmemory::fit_topk(
+        train_raw, {.components = opts.pca.components});
     const auto reduced = pca.project_all(train_raw);
     row.pca_seconds = seconds_since(t0);
 

@@ -45,7 +45,12 @@ AnomalyDetector AnomalyDetector::train(
   if (validation.empty()) {
     throw ConfigError("AnomalyDetector::train: empty validation set");
   }
-  Eigenmemory pca = Eigenmemory::fit(training, options.pca);
+  // A fixed L' trains through fit_topk, the routine retraining uses too;
+  // only the variance-target mode (components == 0) needs the full spectrum.
+  Eigenmemory pca = options.pca.components > 0
+                        ? Eigenmemory::fit_topk(
+                              training, {.components = options.pca.components})
+                        : Eigenmemory::fit(training, options.pca);
   const auto reduced = pca.project_all(training);
   Gmm gmm = Gmm::fit(reduced, options.gmm);
 

@@ -37,7 +37,9 @@ namespace mhm {
 class AnomalyDetector {
  public:
   struct Options {
-    Eigenmemory::Options pca;  ///< Defaults: retain 99.99 % variance.
+    /// Defaults: retain 99.99 % variance (exact fit()). A fixed
+    /// components > 0 trains through Eigenmemory::fit_topk.
+    Eigenmemory::Options pca;
     Gmm::Options gmm;          ///< Defaults: J = 5, 10 restarts.
     double primary_p = 0.01;   ///< Threshold quantile for verdicts (θ_1).
     /// Decision-journal ring capacity (0 keeps the journal default).

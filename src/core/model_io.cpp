@@ -15,7 +15,9 @@ namespace mhm {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'H', 'M', 'M'};
-constexpr std::uint32_t kFormatVersion = 1;
+// Version 2 appends the total variance to the eigenmemory section; version 1
+// files still load, with the total taken as the spectrum sum.
+constexpr std::uint32_t kFormatVersion = 2;
 
 // Section tags.
 constexpr std::uint32_t kTagEigenmemory = 0x454D454D;  // "MEME"
@@ -108,9 +110,10 @@ void save_eigenmemory(const Eigenmemory& em, std::ostream& out) {
   }
   write_f64_span(out, em.eigenvalues());
   write_f64_span(out, em.spectrum());
+  write_f64(out, em.total_variance());
 }
 
-Eigenmemory load_eigenmemory(std::istream& in) {
+Eigenmemory load_eigenmemory(std::istream& in, std::uint32_t format_version) {
   expect_tag(in, kTagEigenmemory, "eigenmemory");
   const std::uint64_t dim = read_u64(in);
   const std::uint64_t components = read_u64(in);
@@ -127,8 +130,11 @@ Eigenmemory load_eigenmemory(std::istream& in) {
   }
   std::vector<double> eigenvalues = read_f64_vector(in, kSanityLimit);
   std::vector<double> spectrum = read_f64_vector(in, kSanityLimit);
+  std::optional<double> total_variance;
+  if (format_version >= 2) total_variance = read_f64(in);
   return Eigenmemory::from_parts(std::move(mean), std::move(basis),
-                                 std::move(eigenvalues), std::move(spectrum));
+                                 std::move(eigenvalues), std::move(spectrum),
+                                 total_variance);
 }
 
 void save_gmm(const Gmm& gmm, std::ostream& out) {
@@ -216,12 +222,12 @@ DetectorModel load_model(std::istream& in) {
     throw SerializationError("model_io: bad magic (not an MHM model file)");
   }
   const std::uint32_t version = read_u32(in);
-  if (version != kFormatVersion) {
+  if (version == 0 || version > kFormatVersion) {
     throw SerializationError("model_io: unsupported format version " +
                              std::to_string(version));
   }
   DetectorModel model;
-  model.eigenmemory = load_eigenmemory(in);
+  model.eigenmemory = load_eigenmemory(in, version);
   model.gmm = load_gmm(in);
   expect_tag(in, kTagDetector, "detector");
   model.primary_p = read_f64(in);

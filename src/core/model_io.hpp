@@ -96,8 +96,11 @@ class ModelRegistry {
 };
 
 /// --- lower-level pieces, exposed for reuse and tests ---
+/// Sections are written in the current format; `format_version` names the
+/// layout a loaded section was written in (1 lacks the total variance).
 void save_eigenmemory(const Eigenmemory& em, std::ostream& out);
-Eigenmemory load_eigenmemory(std::istream& in);
+Eigenmemory load_eigenmemory(std::istream& in,
+                             std::uint32_t format_version = 2);
 void save_gmm(const Gmm& gmm, std::ostream& out);
 Gmm load_gmm(std::istream& in);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -204,74 +206,207 @@ Eigenmemory Eigenmemory::fit(const HeatMapTrace& maps,
 
 namespace {
 
-/// Z = A Q: one row per sample, z[a][j] = Φ_a · q_j. Every output element is
-/// an independent i-ascending dot, so row blocks parallelize bit-exactly.
-void data_times_basis(const std::vector<std::vector<double>>& phis,
-                      const std::vector<std::vector<double>>& q_cols,
-                      std::vector<std::vector<double>>& z) {
-  const std::size_t m = q_cols.size();
-  z.resize(phis.size());
-  parallel_for(phis.size(), 0, [&](std::size_t a0, std::size_t a1) {
-    for (std::size_t a = a0; a < a1; ++a) {
-      z[a].resize(m);
-      for (std::size_t j = 0; j < m; ++j) {
-        z[a][j] = linalg::dot(phis[a], q_cols[j]);
-      }
-    }
-  });
-}
+// Range-finder products on row-major slabs: Q and Y are L × m (q[i * m + j]),
+// Z is N × m (z[a * m + j] = Φ_a · q_j). Both products run as register
+// tiles of kTile rows × up to kTile columns: kTile² independent
+// accumulators advance together over the reduction index, so each output
+// element is still one serial chain in the order of a per-element loop —
+// i-ascending for Z (the linalg::dot order), sample-ascending for Y (the
+// covariance_direct order). Only independent chains run side by side and
+// the build pins -ffp-contract=off, so results are bit-identical to
+// per-element loops on every ISA and at any thread count
+// (EigenmemoryTopk.RandomizedRouteIsPinnedBitForBit). Ragged rows (fewer
+// than kTile samples or cells) take the per-element loop itself.
+constexpr std::size_t kTile = 4;
 
-/// Y_j = (1/N) A^T z_(·,j) = C q_j without forming C. Row blocks of the
-/// output are parallel; each element accumulates over samples in ascending
-/// index order (the covariance_direct contract), so the result is
-/// bit-identical at any thread count.
-void covariance_apply(const std::vector<std::vector<double>>& phis,
-                      const std::vector<std::vector<double>>& z,
-                      std::size_t l, std::vector<std::vector<double>>& y) {
-  const std::size_t m = y.size();
-  const double inv_n = 1.0 / static_cast<double>(phis.size());
-  for (auto& col : y) col.assign(l, 0.0);
-  parallel_for(l, 0, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t a = 0; a < phis.size(); ++a) {
-      const auto& phi = phis[a];
-      for (std::size_t j = 0; j < m; ++j) {
-        const double zaj = z[a][j];
-        if (zaj == 0.0) continue;
-        auto& col = y[j];
-        for (std::size_t i = i0; i < i1; ++i) col[i] += zaj * phi[i];
-      }
+/// Calls tile(j0, integral_constant<C>) for each column tile of an m-wide
+/// slab: C = kTile, then one narrower tile for the remainder.
+template <typename Fn>
+void for_each_column_tile(std::size_t m, Fn&& tile) {
+  for (std::size_t j0 = 0; j0 < m; j0 += kTile) {
+    switch (m - j0) {
+      case 1: tile(j0, std::integral_constant<std::size_t, 1>{}); break;
+      case 2: tile(j0, std::integral_constant<std::size_t, 2>{}); break;
+      case 3: tile(j0, std::integral_constant<std::size_t, 3>{}); break;
+      default: tile(j0, std::integral_constant<std::size_t, kTile>{}); break;
     }
-  });
-  for (auto& col : y) {
-    for (double& v : col) v *= inv_n;
   }
 }
 
-/// In-place modified Gram–Schmidt over the columns. Serial by design: the
-/// column count is k + oversample (tiny), and a fixed sweep order keeps the
-/// orthonormalization deterministic. A column that collapses to numerical
-/// zero (rank-deficient data) is re-seeded with a canonical basis vector so
-/// the sweep always yields a full orthonormal set.
-void orthonormalize_columns(std::vector<std::vector<double>>& cols) {
-  const std::size_t l = cols.empty() ? 0 : cols.front().size();
-  for (std::size_t j = 0; j < cols.size(); ++j) {
-    for (std::size_t p = 0; p < j; ++p) {
-      const double r = linalg::dot(cols[p], cols[j]);
-      for (std::size_t i = 0; i < l; ++i) cols[j][i] -= r * cols[p][i];
+/// z[r][j0 + c] = Σ_i phi_r[i] · q[i][j0 + c] for kTile samples × C columns.
+template <std::size_t C>
+void z_tile(const double* const* phi, const double* q, std::size_t l,
+            std::size_t m, std::size_t j0, double* const* z) {
+  double acc[kTile][C] = {};
+  for (std::size_t i = 0; i < l; ++i) {
+    const double* qrow = q + i * m + j0;
+    for (std::size_t r = 0; r < kTile; ++r) {
+      const double p = phi[r][i];
+      for (std::size_t c = 0; c < C; ++c) acc[r][c] += p * qrow[c];
     }
-    double nrm = linalg::norm2(cols[j]);
+  }
+  for (std::size_t r = 0; r < kTile; ++r) {
+    for (std::size_t c = 0; c < C; ++c) z[r][j0 + c] = acc[r][c];
+  }
+}
+
+/// Two consecutive cells of one sample row (GCC/Clang vector extension at
+/// the baseline SIMD width; element-wise ops only, so each lane stays its
+/// own cell's chain).
+typedef double CellPair __attribute__((vector_size(2 * sizeof(double))));
+constexpr std::size_t kPairs = kTile / 2;
+
+/// y[i0 + r][j0 + c] += Σ_a z[a][j0 + c] · Φ_a[i0 + r] over one run of
+/// `rows` samples, for kTile cells × C columns. `phi` points at cell i0 of
+/// the run's first sample in a panel of row stride `stride`; `z` at the
+/// run's first Z row. The partial sums resume from y, so consecutive runs
+/// keep each chain's sample order. Lanes run over the cells, whose Φ
+/// values are contiguous in each panel row.
+template <std::size_t C>
+void y_tile(const double* phi, std::size_t stride, const double* z,
+            std::size_t m, std::size_t rows, std::size_t i0, std::size_t j0,
+            double* y) {
+  CellPair acc[C][kPairs];
+  for (std::size_t c = 0; c < C; ++c) {
+    for (std::size_t h = 0; h < kPairs; ++h) {
+      const double* yc = y + (i0 + 2 * h) * m + j0 + c;
+      acc[c][h] = CellPair{yc[0], yc[m]};
+    }
+  }
+  for (std::size_t a = 0; a < rows; ++a) {
+    CellPair p[kPairs];
+    std::memcpy(p, phi + a * stride, sizeof p);
+    const double* zrow = z + a * m + j0;
+    for (std::size_t c = 0; c < C; ++c) {
+      const double zc = zrow[c];
+      for (std::size_t h = 0; h < kPairs; ++h) acc[c][h] += zc * p[h];
+    }
+  }
+  for (std::size_t c = 0; c < C; ++c) {
+    for (std::size_t r = 0; r < kTile; ++r) {
+      y[(i0 + r) * m + j0 + c] = acc[c][r / 2][r % 2];
+    }
+  }
+}
+
+/// Z = A Q. Sample tiles are independent — parallel over them.
+void data_times_basis(const std::vector<std::vector<double>>& phis,
+                      const std::vector<double>& q, std::size_t m,
+                      std::vector<double>& z) {
+  const std::size_t n = phis.size();
+  const std::size_t l = q.size() / m;
+  z.resize(n * m);
+  const std::size_t tiles = (n + kTile - 1) / kTile;
+  parallel_for(tiles, 0, [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t a0 = t0 * kTile; a0 < std::min(n, t1 * kTile);
+         a0 += kTile) {
+      if (a0 + kTile > n) {
+        for (std::size_t a = a0; a < n; ++a) {
+          for (std::size_t j = 0; j < m; ++j) {
+            double acc = 0.0;
+            for (std::size_t i = 0; i < l; ++i) {
+              acc += phis[a][i] * q[i * m + j];
+            }
+            z[a * m + j] = acc;
+          }
+        }
+        continue;
+      }
+      const double* phi[kTile];
+      double* out[kTile];
+      for (std::size_t r = 0; r < kTile; ++r) {
+        phi[r] = phis[a0 + r].data();
+        out[r] = z.data() + (a0 + r) * m;
+      }
+      for_each_column_tile(m, [&](std::size_t j0, auto cols) {
+        z_tile<decltype(cols)::value>(phi, q.data(), l, m, j0, out);
+      });
+    }
+  });
+}
+
+/// Y = Aᵀ Z / N = C Q without forming C. Cell chunks are independent —
+/// parallel over them. Each chunk takes the samples in runs of kSampleRun:
+/// it first copies the run's slice of its cells into a contiguous panel
+/// (sequential row reads), then sweeps every cell tile over the panel, which
+/// stays cache-resident — tiles reading one cell group straight from each
+/// of N scattered rows would stall on every row. Products with z == 0 are
+/// added like any other: an accumulator that starts at +0 can never become
+/// −0, so adding a ±0 product leaves it bit-unchanged.
+void covariance_apply(const std::vector<std::vector<double>>& phis,
+                      const std::vector<double>& z, std::size_t m,
+                      std::vector<double>& y) {
+  constexpr std::size_t kSampleRun = 256;
+  const std::size_t n = phis.size();
+  const std::size_t l = y.size() / m;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::fill(y.begin(), y.end(), 0.0);
+  const std::size_t tiles = (l + kTile - 1) / kTile;
+  parallel_for(tiles, 0, [&](std::size_t t0, std::size_t t1) {
+    const std::size_t c0 = t0 * kTile;
+    const std::size_t c1 = std::min(l, t1 * kTile);
+    const std::size_t w = c1 - c0;
+    std::vector<double> panel(std::min(n, kSampleRun) * w);
+    for (std::size_t a0 = 0; a0 < n; a0 += kSampleRun) {
+      const std::size_t rows = std::min(n - a0, kSampleRun);
+      for (std::size_t a = 0; a < rows; ++a) {
+        std::copy(phis[a0 + a].begin() + static_cast<std::ptrdiff_t>(c0),
+                  phis[a0 + a].begin() + static_cast<std::ptrdiff_t>(c1),
+                  panel.begin() + static_cast<std::ptrdiff_t>(a * w));
+      }
+      const double* zrun = z.data() + a0 * m;
+      std::size_t i0 = c0;
+      for (; i0 + kTile <= c1; i0 += kTile) {
+        for_each_column_tile(m, [&](std::size_t j0, auto cols) {
+          y_tile<decltype(cols)::value>(panel.data() + (i0 - c0), w, zrun, m,
+                                        rows, i0, j0, y.data());
+        });
+      }
+      for (std::size_t i = i0; i < c1; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+          double acc = y[i * m + j];
+          for (std::size_t a = 0; a < rows; ++a) {
+            acc += zrun[a * m + j] * panel[a * w + (i - c0)];
+          }
+          y[i * m + j] = acc;
+        }
+      }
+    }
+    for (std::size_t e = c0 * m; e < c1 * m; ++e) y[e] *= inv_n;
+  });
+}
+
+/// In-place modified Gram–Schmidt over the m columns of the L × m slab.
+/// Serial by design: the column count is k + oversample (tiny), and a fixed
+/// sweep order keeps the orthonormalization deterministic. Every dot and
+/// update runs i-ascending, as on contiguous columns. A column that
+/// collapses to numerical zero (rank-deficient data) is re-seeded with a
+/// canonical basis vector so the sweep always yields a full orthonormal set.
+void orthonormalize_columns(std::vector<double>& q, std::size_t m) {
+  const std::size_t l = q.size() / m;
+  const auto col_dot = [&](std::size_t p, std::size_t j) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < l; ++i) s += q[i * m + p] * q[i * m + j];
+    return s;
+  };
+  const auto subtract_projections = [&](std::size_t j) {
+    for (std::size_t p = 0; p < j; ++p) {
+      const double r = col_dot(p, j);
+      for (std::size_t i = 0; i < l; ++i) q[i * m + j] -= r * q[i * m + p];
+    }
+  };
+  for (std::size_t j = 0; j < m; ++j) {
+    subtract_projections(j);
+    double nrm = std::sqrt(col_dot(j, j));
     if (!(nrm > 1e-12)) {
       // Deterministic re-seed: e_{j mod L}, re-orthogonalized.
-      std::fill(cols[j].begin(), cols[j].end(), 0.0);
-      cols[j][j % l] = 1.0;
-      for (std::size_t p = 0; p < j; ++p) {
-        const double r = linalg::dot(cols[p], cols[j]);
-        for (std::size_t i = 0; i < l; ++i) cols[j][i] -= r * cols[p][i];
-      }
-      nrm = linalg::norm2(cols[j]);
+      for (std::size_t i = 0; i < l; ++i) q[i * m + j] = 0.0;
+      q[(j % l) * m + j] = 1.0;
+      subtract_projections(j);
+      nrm = std::sqrt(col_dot(j, j));
     }
     const double inv = 1.0 / nrm;
-    for (double& v : cols[j]) v *= inv;
+    for (std::size_t i = 0; i < l; ++i) q[i * m + j] *= inv;
   }
 }
 
@@ -298,13 +433,13 @@ Eigenmemory Eigenmemory::fit_topk(
   const std::size_t keep = options.components;
   const std::size_t m = std::min(keep + options.oversample, rank_cap);
 
-  // Small-N route: the N×N Gram eigensolve is exact and already cheap —
-  // reuse the full fit() (it auto-selects the Turk–Pentland trick when
-  // N < L), which also yields the complete spectrum. The same fallback
+  // Exact route: when min(N, L) ≤ gram_limit the full eigensolve is cheap —
+  // reuse fit() (the N×N Gram form when N < L, the L×L covariance
+  // otherwise), which also yields the complete spectrum. The same fallback
   // covers the degenerate case where the oversampled subspace would span
   // the whole rank anyway — the randomized route would do strictly more
   // work than the exact one.
-  if ((n < l && n <= options.gram_limit) || m >= rank_cap) {
+  if (rank_cap <= options.gram_limit || m >= rank_cap) {
     Options exact;
     exact.components = keep;
     return fit(training, exact);
@@ -325,25 +460,21 @@ Eigenmemory Eigenmemory::fit_topk(
   // Ω is filled serially from a fixed-seed generator, and every parallel
   // product above is element-independent, so the whole pipeline is
   // bit-deterministic at any MHM_THREADS.
-  std::vector<std::vector<double>> q_cols(m);
+  std::vector<double> q(l * m);
+  std::vector<double> z;
   {
     PROF_ZONE(kTrainCovariance);
     Rng rng(options.seed);
-    std::vector<std::vector<double>> omega(m);
-    for (auto& col : omega) col.resize(l);
-    // Fill in (row, column) order so the stream matches a column-major Ω.
-    for (std::size_t i = 0; i < l; ++i) {
-      for (std::size_t j = 0; j < m; ++j) omega[j][i] = rng.normal();
-    }
-    std::vector<std::vector<double>> z;
-    data_times_basis(phis, omega, z);
-    for (auto& col : q_cols) col.resize(l);
-    covariance_apply(phis, z, l, q_cols);
-    orthonormalize_columns(q_cols);
+    // Ω is drawn row by row into its L × m slab.
+    std::vector<double> omega(l * m);
+    for (double& v : omega) v = rng.normal();
+    data_times_basis(phis, omega, m, z);
+    covariance_apply(phis, z, m, q);
+    orthonormalize_columns(q, m);
     for (std::size_t it = 0; it < options.power_iterations; ++it) {
-      data_times_basis(phis, q_cols, z);
-      covariance_apply(phis, z, l, q_cols);
-      orthonormalize_columns(q_cols);
+      data_times_basis(phis, q, m, z);
+      covariance_apply(phis, z, m, q);
+      orthonormalize_columns(q, m);
     }
   }
 
@@ -352,14 +483,13 @@ Eigenmemory Eigenmemory::fit_topk(
   linalg::SymmetricEigenResult eig;
   {
     PROF_ZONE(kTrainEigensolve);
-    std::vector<std::vector<double>> w;
-    data_times_basis(phis, q_cols, w);
+    data_times_basis(phis, q, m, z);
     Matrix b(m, m, 0.0);
     const double inv_n = 1.0 / static_cast<double>(n);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = i; j < m; ++j) {
         double acc = 0.0;
-        for (std::size_t a = 0; a < n; ++a) acc += w[a][i] * w[a][j];
+        for (std::size_t a = 0; a < n; ++a) acc += z[a * m + i] * z[a * m + j];
         acc *= inv_n;
         b(i, j) = acc;
         b(j, i) = acc;
@@ -387,8 +517,7 @@ Eigenmemory Eigenmemory::fit_topk(
       for (std::size_t j = 0; j < m; ++j) {
         const double vjk = eig.eigenvectors(j, k);
         if (vjk == 0.0) continue;
-        const auto& qcol = q_cols[j];
-        for (std::size_t i = 0; i < l; ++i) urow[i] += vjk * qcol[i];
+        for (std::size_t i = 0; i < l; ++i) urow[i] += vjk * q[i * m + j];
       }
       linalg::normalize(urow);
     }
@@ -861,7 +990,8 @@ double Eigenmemory::reconstruction_error(const std::vector<double>& map) const {
 Eigenmemory Eigenmemory::from_parts(std::vector<double> mean,
                                     linalg::Matrix basis,
                                     std::vector<double> eigenvalues,
-                                    std::vector<double> spectrum) {
+                                    std::vector<double> spectrum,
+                                    std::optional<double> total_variance) {
   if (mean.empty()) throw ConfigError("Eigenmemory::from_parts: empty mean");
   if (basis.cols() != mean.size()) {
     throw ConfigError("Eigenmemory::from_parts: basis width != mean length");
@@ -883,13 +1013,18 @@ Eigenmemory Eigenmemory::from_parts(std::vector<double> mean,
       throw ConfigError("Eigenmemory::from_parts: negative eigenvalue");
     }
   }
+  if (total_variance && !(std::isfinite(*total_variance) &&
+                         *total_variance >= 0.0)) {
+    throw ConfigError("Eigenmemory::from_parts: invalid total variance");
+  }
+  double spectrum_sum = 0.0;
+  for (double v : spectrum) spectrum_sum += v;
   Eigenmemory em;
   em.mean_ = std::move(mean);
   em.basis_ = std::move(basis);
   em.eigenvalues_ = std::move(eigenvalues);
   em.spectrum_ = std::move(spectrum);
-  em.total_variance_ = 0.0;
-  for (double v : em.spectrum_) em.total_variance_ += v;
+  em.total_variance_ = total_variance.value_or(spectrum_sum);
   return em;
 }
 

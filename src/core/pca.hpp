@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,23 +58,28 @@ class Eigenmemory {
     /// Subspace (power) iterations: each multiplies the spectral gap's
     /// effect by λ_{k+1}/λ_k, so a handful suffice for heat-map spectra.
     std::size_t power_iterations = 6;
-    /// Largest N for which the N×N Gram eigensolve is used instead of the
-    /// randomized path (the Gram route is exact; the cube of this bound is
-    /// the cost ceiling accepted for exactness).
+    /// Largest min(N, L) for which fit_topk runs an exact eigensolve (fit():
+    /// the N×N Gram form when N < L, the L×L covariance otherwise) instead
+    /// of the randomized path. The cube of this bound is the cost ceiling
+    /// accepted for exactness.
     std::size_t gram_limit = 1024;
     /// Seed for the Gaussian test matrix Ω. Fixed default keeps retrains
     /// reproducible; results are deterministic at any MHM_THREADS either way.
     std::uint64_t seed = 20150607;
   };
 
-  /// Truncated top-k fit for the (re)training path: never forms the L×L
-  /// covariance or runs the full eigensolve. Picks between two routes —
-  /// the exact Turk–Pentland Gram eigendecomposition (N×N) when N < L and
-  /// N ≤ gram_limit, and randomized subspace iteration with oversampling
-  /// (Halko–Martinsson–Tropp) on the N×L data matrix otherwise. The
-  /// returned basis spans the same top-k eigenspace as fit() up to
-  /// round-off / iteration tolerance (the cross-check tests pin principal
-  /// angles against the exact solver). Deterministic at any MHM_THREADS.
+  /// Truncated top-k fit: the PCA that trains every serving model with a
+  /// fixed L' (AnomalyDetector::train, PhaseAwareDetector::train) and every
+  /// retrain candidate. Picks between two routes — the exact fit() when
+  /// min(N, L) ≤ gram_limit (an eigensolve of that size is cheap), and
+  /// randomized subspace iteration with oversampling
+  /// (Halko–Martinsson–Tropp) on the N×L data matrix otherwise, which never
+  /// forms the L×L covariance or runs the full eigensolve. The randomized
+  /// basis spans the same top-k eigenspace as fit() up to round-off /
+  /// iteration tolerance (the cross-check tests pin principal angles
+  /// against the exact solver); its spectrum() holds only the
+  /// k + oversample Ritz values, and variance_explained() is anchored on
+  /// the exact covariance trace. Deterministic at any MHM_THREADS.
   /// Throws ConfigError when components is 0 or exceeds min(N, L).
   static Eigenmemory fit_topk(const std::vector<std::vector<double>>& training,
                               const TopkOptions& options);
@@ -137,8 +143,14 @@ class Eigenmemory {
   /// eigenvalue order).
   const linalg::Matrix& basis() const { return basis_; }
   const std::vector<double>& eigenvalues() const { return eigenvalues_; }
-  /// All eigenvalues of the covariance (not just the retained ones).
+  /// Covariance eigenvalues in decreasing order, retained ones first: all
+  /// of them after fit(), the k + oversample Ritz values after a randomized
+  /// fit_topk().
   const std::vector<double>& spectrum() const { return spectrum_; }
+  /// Total training variance, trace(C): the denominator of
+  /// variance_explained(). Equals the spectrum sum only when the spectrum
+  /// is complete.
+  double total_variance() const { return total_variance_; }
 
   /// Fraction of total training variance captured by the first k retained
   /// eigenmemories (k defaults to all retained).
@@ -146,11 +158,13 @@ class Eigenmemory {
 
   /// Rebuild from previously extracted parts (deserialization). `basis`
   /// must be L' x L with unit-norm rows; `eigenvalues` length L';
-  /// `spectrum` the full (possibly longer) eigenvalue list. Validated.
-  static Eigenmemory from_parts(std::vector<double> mean,
-                                linalg::Matrix basis,
-                                std::vector<double> eigenvalues,
-                                std::vector<double> spectrum);
+  /// `spectrum` the (possibly longer) eigenvalue list; `total_variance`
+  /// the trace, finite and ≥ 0 — when absent it is taken as the spectrum
+  /// sum. Validated.
+  static Eigenmemory from_parts(
+      std::vector<double> mean, linalg::Matrix basis,
+      std::vector<double> eigenvalues, std::vector<double> spectrum,
+      std::optional<double> total_variance = std::nullopt);
 
  private:
   std::vector<double> mean_;       ///< Ψ, length L.

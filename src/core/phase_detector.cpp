@@ -24,7 +24,11 @@ PhaseAwareDetector PhaseAwareDetector::train(const HeatMapTrace& training,
   }
 
   PhaseAwareDetector det;
-  det.pca_ = Eigenmemory::fit(training, options.pca);
+  // Same PCA routine as AnomalyDetector::train.
+  det.pca_ = options.pca.components > 0
+                 ? Eigenmemory::fit_topk(
+                       training, {.components = options.pca.components})
+                 : Eigenmemory::fit(training, options.pca);
   const std::size_t dim = det.pca_.components();
 
   // Partition reduced training maps by hyperperiod phase.

@@ -30,7 +30,8 @@ class PhaseAwareDetector {
  public:
   struct Options {
     std::size_t phases = 10;        ///< Hyperperiod / monitoring interval.
-    Eigenmemory::Options pca;       ///< Shared reduction stage.
+    /// Shared reduction stage, trained as AnomalyDetector::Options::pca.
+    Eigenmemory::Options pca;
     double covariance_floor = 1e-9; ///< Diagonal regularization.
     double primary_p = 0.01;        ///< Threshold quantile (θ_1).
   };

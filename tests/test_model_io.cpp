@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -91,6 +92,81 @@ TEST(ModelIo, FileRoundTrip) {
   const std::vector<double> probe(12, 3.0);
   EXPECT_DOUBLE_EQ(fx.detector.score(probe), restored.score(probe));
   std::filesystem::remove(path);
+}
+
+/// A model whose eigenmemory comes from fit_topk's randomized route, so its
+/// spectrum holds only the k + oversample Ritz values and the spectrum sum
+/// falls short of the total variance.
+DetectorModel randomized_route_model() {
+  Rng rng(3);
+  std::vector<std::vector<double>> patterns(12, std::vector<double>(48));
+  for (auto& p : patterns) {
+    for (double& v : p) v = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<std::vector<double>> train(400, std::vector<double>(48, 0.0));
+  for (auto& x : train) {
+    for (const auto& p : patterns) {
+      const double w = rng.uniform(0.0, 3.0);
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] += w * p[i];
+    }
+    for (double& v : x) v += rng.normal(0.0, 0.5);
+  }
+  Eigenmemory::TopkOptions topk;
+  topk.components = 3;
+  topk.gram_limit = 16;  // below min(N, L): the randomized route
+  DetectorModel model;
+  model.eigenmemory = Eigenmemory::fit_topk(train, topk);
+  Gmm::Options gmm;
+  gmm.components = 2;
+  gmm.restarts = 1;
+  model.gmm = Gmm::fit(model.eigenmemory.project_all(train), gmm);
+  model.validation_scores = {-3.0, -2.0, -1.0};
+  return model;
+}
+
+TEST(ModelIo, RegistryRoundTripKeepsVarianceExplained) {
+  const DetectorModel model = randomized_route_model();
+  const Eigenmemory& em = model.eigenmemory;
+  double spectrum_sum = 0.0;
+  for (double v : em.spectrum()) spectrum_sum += v;
+  ASSERT_LT(spectrum_sum, em.total_variance());  // truncated spectrum
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "mhm_registry_variance_test";
+  std::filesystem::remove_all(dir);
+  ModelRegistry registry(dir.string());
+  const std::uint64_t version = registry.save(model);
+  const DetectorModel loaded = registry.load(version);
+  EXPECT_EQ(loaded.eigenmemory.total_variance(), em.total_variance());
+  EXPECT_EQ(loaded.eigenmemory.variance_explained(), em.variance_explained());
+  EXPECT_EQ(loaded.eigenmemory.spectrum(), em.spectrum());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelIo, LoadsVersionOneWithSpectrumSumAsTotal) {
+  // Rewrite a current file into the version-1 layout: version word 1 and no
+  // total-variance word after the spectrum.
+  const DetectorModel model = randomized_route_model();
+  const Eigenmemory& em = model.eigenmemory;
+  std::stringstream buffer;
+  save_model(model, buffer);
+  std::string bytes = buffer.str();
+  bytes[4] = 1;
+  const std::size_t l = em.input_dim();
+  const std::size_t k = em.components();
+  const std::size_t total_at = 8 + 4 + 8 + 8 + (8 + 8 * l) + 8 * k * l +
+                               (8 + 8 * k) + (8 + 8 * em.spectrum().size());
+  double stored;
+  std::memcpy(&stored, bytes.data() + total_at, sizeof stored);
+  ASSERT_EQ(stored, em.total_variance());
+  bytes.erase(total_at, 8);
+
+  std::stringstream v1(bytes);
+  const DetectorModel loaded = load_model(v1);
+  double spectrum_sum = 0.0;
+  for (double v : em.spectrum()) spectrum_sum += v;
+  EXPECT_EQ(loaded.eigenmemory.total_variance(), spectrum_sum);
+  EXPECT_EQ(loaded.eigenmemory.eigenvalues(), em.eigenvalues());
 }
 
 TEST(ModelIo, RejectsBadMagic) {
@@ -187,6 +263,20 @@ TEST(EigenmemoryFromParts, ValidatesInput) {
       ConfigError);
   // Spectrum shorter than retained values.
   EXPECT_THROW(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {}),
+               ConfigError);
+  // Total variance: taken as given when present, else the spectrum sum;
+  // negative or non-finite totals are rejected.
+  EXPECT_EQ(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {2.0}, 4.0)
+                .variance_explained(),
+            0.5);
+  EXPECT_EQ(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {2.0, 2.0})
+                .total_variance(),
+            4.0);
+  EXPECT_THROW(
+      Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {2.0}, -1.0),
+      ConfigError);
+  EXPECT_THROW(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {2.0},
+                                       std::nan("")),
                ConfigError);
 }
 

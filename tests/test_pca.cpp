@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ios>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -281,6 +283,9 @@ TEST_P(EigenmemoryTopkCrossCheck, MatchesExactSolverOnTopkSubspace) {
 
   Eigenmemory::TopkOptions fast_opts;
   fast_opts.components = kRank;
+  // N > L cases exercise the randomized route: a gram_limit below
+  // min(N, L) keeps them off the exact one.
+  if (n > dim) fast_opts.gram_limit = dim / 2;
   const auto fast = Eigenmemory::fit_topk(data, fast_opts);
 
   ASSERT_EQ(fast.components(), kRank);
@@ -323,6 +328,7 @@ TEST(EigenmemoryTopk, DeterministicAcrossThreadCounts) {
   const auto data = subspace_data(1200, 96, 6, 0.1, 77);
   Eigenmemory::TopkOptions opts;
   opts.components = 6;
+  opts.gram_limit = 48;  // below min(N, L) = 96: the randomized route
   set_global_threads(1);
   const auto serial = Eigenmemory::fit_topk(data, opts);
   set_global_threads(4);
@@ -352,10 +358,11 @@ TEST(EigenmemoryTopk, RejectsDegenerateRequests) {
 }
 
 TEST(EigenmemoryTopk, RandomizedBasisRowsAreOrthonormal) {
-  // N > gram_limit forces the randomized route even with N < L disabled.
+  // gram_limit below min(N, L) = 64 forces the randomized route.
   const auto data = subspace_data(2000, 64, 5, 0.2, 14);
   Eigenmemory::TopkOptions opts;
   opts.components = 5;
+  opts.gram_limit = 32;
   const auto em = Eigenmemory::fit_topk(data, opts);
   for (std::size_t a = 0; a < 5; ++a) {
     for (std::size_t b = 0; b < 5; ++b) {
@@ -363,6 +370,53 @@ TEST(EigenmemoryTopk, RandomizedBasisRowsAreOrthonormal) {
       EXPECT_NEAR(d, a == b ? 1.0 : 0.0, 1e-9) << "rows " << a << "," << b;
     }
   }
+}
+
+/// FNV-1a over the IEEE-754 bit patterns of `xs`, folded into `h`.
+std::uint64_t fnv1a_bits(std::span<const double> xs,
+                         std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (double x : xs) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(EigenmemoryTopk, RandomizedRouteIsPinnedBitForBit) {
+  // Pins the randomized range finder's exact output: any change to the
+  // addition order of its kernels (Z = A·Q, Y = Aᵀ·Z / N, the Gram–Schmidt
+  // sweep, the Rayleigh–Ritz product) shows up here. L = 100 and
+  // m = 6 + 8 = 14 leave ragged tails for any blocked kernel width.
+  const auto data = subspace_data(603, 100, 6, 0.1, 31);
+  Eigenmemory::TopkOptions opts;
+  opts.components = 6;
+  opts.gram_limit = 32;  // below min(N, L): the randomized route
+  const std::vector<double> kEigenvalues = {
+      0x1.8e03629d31e0ep+8, 0x1.63da690b52504p+8, 0x1.08bc597b1b228p+8,
+      0x1.db1dd25c91859p+7, 0x1.bd38241c10196p+7, 0x1.3a030c75eca8dp+7};
+  constexpr double kVarianceExplained = 0x1.ffb55b76898b2p-1;
+  // FNV-1a of the basis rows followed by the m Ritz values.
+  constexpr std::uint64_t kDigest = 0xce9560a562fc7a72ULL;
+  for (std::size_t threads : {1, 4}) {
+    set_global_threads(threads);
+    const auto em = Eigenmemory::fit_topk(data, opts);
+    ASSERT_EQ(em.components(), kEigenvalues.size());
+    for (std::size_t k = 0; k < kEigenvalues.size(); ++k) {
+      EXPECT_EQ(em.eigenvalues()[k], kEigenvalues[k])
+          << "eigenvalue " << k << " at " << threads << " threads: "
+          << std::hexfloat << em.eigenvalues()[k];
+    }
+    EXPECT_EQ(em.variance_explained(), kVarianceExplained);
+    std::uint64_t h = fnv1a_bits(em.basis().data());
+    h = fnv1a_bits(em.spectrum(), h);
+    EXPECT_EQ(h, kDigest) << "basis/spectrum digest at " << threads
+                          << " threads";
+  }
+  set_global_threads(0);
 }
 
 TEST(Eigenmemory, SpectrumIsFullLength) {
