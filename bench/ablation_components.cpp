@@ -44,13 +44,13 @@ int main() {
       recon.add(pipe.det().eigenmemory().reconstruction_error(m.as_vector()));
     }
 
-    pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 6001);
+    pipeline::ScenarioRun normal_run = scored_scenario(
+        cfg, nullptr, 0, duration, pipe, 6001);
     const std::vector<double> normal_dens = normal_run.log10_densities();
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 6002);
+      pipeline::ScenarioRun run = scored_scenario(
+          cfg, attack.get(), trigger, duration, pipe, 6002);
       std::vector<double> attacked;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

@@ -56,11 +56,10 @@ int main() {
 
   // Collect runs once, evaluate all detectors on the same maps.
   pipeline::ScenarioRun normal_run =
-      pipeline::run_scenario(cfg, nullptr, 0, duration, pipe.detector.get(), 8001);
+      scored_scenario(cfg, nullptr, 0, duration, pipe, 8001);
   auto attacked_run = [&](const std::string& name) {
     auto attack = attacks::make_scenario(name);
-    return pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                                  pipe.detector.get(), 8002);
+    return scored_scenario(cfg, attack.get(), trigger, duration, pipe, 8002);
   };
   const pipeline::ScenarioRun app = attacked_run("app_addition");
   const pipeline::ScenarioRun shell = attacked_run("shellcode");
@@ -94,10 +93,11 @@ int main() {
     return r;
   };
 
+  const double theta = pipe.theta_1.log10_value;
+  engine::Session session = pipe.make_engine().new_session();
   {
-    const double theta = pipe.theta_1.log10_value;
     Row r = eval([&](const HeatMap& m) {
-      return pipe.det().score(m.as_vector()) < theta;
+      return session.analyze(m).log10_density < theta;
     });
     r.detector = "eigenmemory + GMM (paper)";
     const Eigenmemory& em = pipe.det().eigenmemory();
@@ -130,10 +130,8 @@ int main() {
   {
     // GMM density OR SPE: the combined detector covers both the in-subspace
     // and the orthogonal failure modes.
-    const double theta = pipe.theta_1.log10_value;
     Row r = eval([&](const HeatMap& m) {
-      const auto raw = m.as_vector();
-      return pipe.det().score(raw) < theta || spe.anomalous(raw);
+      return session.analyze(m).log10_density < theta || spe.anomalous(m);
     });
     r.detector = "GMM + SPE combined (extension)";
     const Eigenmemory& em = pipe.det().eigenmemory();

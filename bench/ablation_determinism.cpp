@@ -44,8 +44,8 @@ int main() {
     const SimTime trigger = 100 * interval;
 
     // False positives on a fresh normal run, raw and 2-of-3 filtered.
-    pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 11001);
+    pipeline::ScenarioRun normal_run = scored_scenario(
+        cfg, nullptr, 0, duration, pipe, 11001);
     const double theta = pipe.theta_1.log10_value;
     std::size_t raw_fp = 0;
     std::size_t filtered_fp = 0;
@@ -60,8 +60,8 @@ int main() {
 
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 11002);
+      pipeline::ScenarioRun run = scored_scenario(
+          cfg, attack.get(), trigger, duration, pipe, 11002);
       std::vector<double> attacked;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

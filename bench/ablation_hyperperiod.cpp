@@ -98,8 +98,8 @@ int main() {
     const auto pipe = pipeline::train_pipeline(cfg, plan, det_opts);
 
     const SimTime duration = 400 * cfg.monitor.interval;
-    pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 13001);
+    pipeline::ScenarioRun normal_run = scored_scenario(
+        cfg, nullptr, 0, duration, pipe, 13001);
     const double theta = pipe.theta_1.log10_value;
     const std::vector<double> normal_dens = normal_run.log10_densities();
     std::size_t fp = 0;
@@ -108,9 +108,9 @@ int main() {
                            static_cast<double>(normal_dens.size());
 
     attacks::AppAdditionAttack attack;
-    pipeline::ScenarioRun app = pipeline::run_scenario(
+    pipeline::ScenarioRun app = scored_scenario(
         cfg, &attack, 100 * cfg.monitor.interval, duration,
-        pipe.detector.get(), 13002);
+        pipe, 13002);
     std::vector<double> attacked;
     const std::vector<double> app_dens = app.log10_densities();
     for (std::size_t i = 0; i < app.maps.size(); ++i) {

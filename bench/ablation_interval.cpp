@@ -44,13 +44,12 @@ int main() {
 
     const SimTime duration = 2 * kSecond;
     const SimTime trigger = 500 * kMillisecond;
-    pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 9001);
+    pipeline::ScenarioRun normal_run = scored_scenario(
+        cfg, nullptr, 0, duration, pipe, 9001);
 
     auto run_attack = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
-      return pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                                    pipe.detector.get(), 9002);
+      return scored_scenario(cfg, attack.get(), trigger, duration, pipe, 9002);
     };
     const std::vector<double> normal_dens = normal_run.log10_densities();
     auto auc_of = [&](const pipeline::ScenarioRun& run) {

@@ -39,13 +39,12 @@ int main() {
   const SimTime duration = 400 * interval;
   const SimTime trigger = 100 * interval;
 
-  pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-      cfg, nullptr, 0, duration, pipe.detector.get(), 14001);
+  pipeline::ScenarioRun normal_run = scored_scenario(
+      cfg, nullptr, 0, duration, pipe, 14001);
 
   auto scenario_maps = [&](const std::string& name) {
     auto attack = attacks::make_scenario(name);
-    return pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                                  pipe.detector.get(), 14002);
+    return scored_scenario(cfg, attack.get(), trigger, duration, pipe, 14002);
   };
   const pipeline::ScenarioRun app = scenario_maps("app_addition");
   const pipeline::ScenarioRun shell = scenario_maps("shellcode");
@@ -81,8 +80,9 @@ int main() {
   };
 
   const double theta = pipe.theta_1.log10_value;
+  engine::Session session = pipe.make_engine().new_session();
   Row pooled = eval([&](const HeatMap& m) {
-    return pipe.det().score(m.as_vector()) < theta;
+    return session.analyze(m).log10_density < theta;
   });
   pooled.name = "pooled GMM, J=5 (paper)";
   Row phased = eval([&](const HeatMap& m) { return phase_det.anomalous(m); });

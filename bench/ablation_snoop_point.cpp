@@ -55,13 +55,13 @@ int main() {
       volume.add(static_cast<double>(m.total_accesses()));
     }
 
-    pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 7001);
+    pipeline::ScenarioRun normal_run = scored_scenario(
+        cfg, nullptr, 0, duration, pipe, 7001);
     const std::vector<double> normal_dens = normal_run.log10_densities();
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 7002);
+      pipeline::ScenarioRun run = scored_scenario(
+          cfg, attack.get(), trigger, duration, pipe, 7002);
       std::vector<double> attacked;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

@@ -29,6 +29,7 @@ int main() {
   opts.gmm.components = 5;
   opts.gmm.restarts = 3;
   const auto pipe = pipeline::train_pipeline(cfg, plan, opts);
+  const engine::DetectionEngine engine = pipe.make_engine();
 
   CsvWriter csv("amp_capacity.csv");
   csv.header({"instances", "mean_total_analysis_us", "budget_fraction",
@@ -44,7 +45,7 @@ int main() {
       sim::SystemConfig inst_cfg = cfg;
       inst_cfg.seed = 9000 + i;
       systems.push_back(std::make_unique<sim::System>(inst_cfg));
-      monitor.attach(*systems.back(), pipe.det());
+      monitor.attach(*systems.back(), engine);
     }
     monitor.run_all(fast_mode() ? 1 * kSecond : 2 * kSecond);
 

@@ -8,11 +8,11 @@
 namespace mhm::bench {
 
 void reset_analysis_time() {
-  AnomalyDetector::analysis_time_histogram().reset();
+  StreamObserver::analysis_time_histogram().reset();
 }
 
 double analysis_mean_us() {
-  const obs::Histogram& h = AnomalyDetector::analysis_time_histogram();
+  const obs::Histogram& h = StreamObserver::analysis_time_histogram();
   const std::uint64_t n = h.count();
   return n > 0 ? h.sum() / static_cast<double>(n) / 1000.0 : 0.0;
 }
@@ -69,6 +69,16 @@ const pipeline::TrainedPipeline& trained_pipeline() {
         100.0 * pipe->detector->eigenmemory().variance_explained());
   });
   return *pipe;
+}
+
+pipeline::ScenarioRun scored_scenario(const sim::SystemConfig& config,
+                                      attacks::AttackScenario* attack,
+                                      SimTime trigger_time, SimTime duration,
+                                      const pipeline::TrainedPipeline& pipe,
+                                      std::uint64_t seed) {
+  engine::Session session = pipe.make_engine().new_session();
+  return pipeline::run_scenario(config, attack, trigger_time, duration,
+                                &session, seed);
 }
 
 void print_header(const std::string& title) {

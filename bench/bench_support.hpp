@@ -40,6 +40,13 @@ AnomalyDetector::Options bench_detector_options();
 /// retraining when one binary reproduces several figures.
 const pipeline::TrainedPipeline& trained_pipeline();
 
+/// run_scenario() scored through a fresh session on `pipe`'s model.
+pipeline::ScenarioRun scored_scenario(const sim::SystemConfig& config,
+                                      attacks::AttackScenario* attack,
+                                      SimTime trigger_time, SimTime duration,
+                                      const pipeline::TrainedPipeline& pipe,
+                                      std::uint64_t seed);
+
 /// Print a section header.
 void print_header(const std::string& title);
 

@@ -23,9 +23,8 @@ int main() {
   attacks::RootkitAttack attack;
 
   pipeline::ScenarioRun run =
-      pipeline::run_scenario(bench_config(), &attack, trigger,
-                             /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/999);
+      scored_scenario(bench_config(), &attack, trigger,
+                      /*duration=*/400 * interval, pipe, /*seed=*/999);
 
   print_detection_figure(
       run, pipe,

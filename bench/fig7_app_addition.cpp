@@ -24,9 +24,8 @@ int main() {
   attacks::AppAdditionAttack attack(sim::qsort_task_spec(), qsort_lifetime);
 
   pipeline::ScenarioRun run =
-      pipeline::run_scenario(bench_config(), &attack, trigger,
-                             /*duration=*/500 * interval,
-                             pipe.detector.get(), /*seed=*/777);
+      scored_scenario(bench_config(), &attack, trigger,
+                      /*duration=*/500 * interval, pipe, /*seed=*/777);
 
   print_detection_figure(run, pipe,
                          "log10 Pr(M) over 500 intervals — qsort launched at "

@@ -21,9 +21,8 @@ int main() {
   attacks::ShellcodeAttack attack("bitcount");
 
   pipeline::ScenarioRun run =
-      pipeline::run_scenario(bench_config(), &attack, trigger,
-                             /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/888);
+      scored_scenario(bench_config(), &attack, trigger,
+                      /*duration=*/400 * interval, pipe, /*seed=*/888);
 
   print_detection_figure(
       run, pipe,

@@ -14,13 +14,13 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_support.hpp"
 #include "common/parallel.hpp"
 #include "obs/incident.hpp"
-#include "obs/model_health.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof.hpp"
 #include "obs/server.hpp"
@@ -63,7 +63,7 @@ int main() {
   std::vector<StageTimes> rows;
   // Kept from the last sweep iteration for the obs-overhead measurement
   // and the fast-PCA leg.
-  std::unique_ptr<AnomalyDetector> overhead_detector;
+  std::optional<engine::DetectionEngine> overhead_engine;
   HeatMapTrace overhead_validation;
   std::vector<std::vector<double>> overhead_train_raw;
   for (const std::size_t threads : counts) {
@@ -101,13 +101,13 @@ int main() {
     for (const auto& v : validation) {
       validation_scores.push_back(gmm.log10_density(pca.project(v.as_vector())));
     }
-    AnomalyDetector detector = AnomalyDetector::assemble(
+    const engine::DetectionEngine engine(ModelSnapshot::assemble(
         pca, std::move(gmm), ThresholdCalibrator(validation_scores),
-        opts.primary_p);
+        opts.primary_p));
     row.train_total_seconds = seconds_since(t_train0);
 
-    // Scenario fan-out: independent seeded systems scored by the shared
-    // detector (run_scenarios parallelizes over specs).
+    // Scenario fan-out: independent seeded systems, one session each
+    // (run_scenarios parallelizes over specs).
     const SimTime interval = cfg.monitor.interval;
     std::vector<pipeline::ScenarioSpec> specs;
     for (std::uint64_t s = 0; s < 4; ++s) {
@@ -117,15 +117,16 @@ int main() {
           .seed = 20000 + s});
     }
     t0 = Clock::now();
-    const auto scenario_runs = pipeline::run_scenarios(cfg, specs, &detector);
+    const auto scenario_runs = pipeline::run_scenarios(cfg, specs, &engine);
     row.scenario_batch_seconds = seconds_since(t0);
 
     // Online analyze latency (serial — the secure core scores one interval
     // at a time) and the determinism probe: score every validation map.
     reset_analysis_time();
+    engine::Session session = engine.new_session();
     row.probe_scores.reserve(validation.size());
     for (const auto& m : validation) {
-      row.probe_scores.push_back(detector.analyze(m).log10_density);
+      row.probe_scores.push_back(session.analyze(m).log10_density);
     }
     row.analyze_mean_us = analysis_mean_us();
     for (const auto& run : scenario_runs) {
@@ -134,7 +135,7 @@ int main() {
                               run_dens.end());
     }
     if (threads == counts.back()) {
-      overhead_detector = std::make_unique<AnomalyDetector>(std::move(detector));
+      overhead_engine.emplace(engine);
       overhead_validation = validation;
       overhead_train_raw = train_raw;
     }
@@ -204,16 +205,24 @@ int main() {
   // obs hot spot, and a multi-hundred-ms sample keeps timer noise well
   // under the 2% being measured.
   constexpr int kAnalyzeReps = 30;
-  const auto obs_workload = [&] {
-    const auto runs = pipeline::run_scenarios(cfg, overhead_specs,
-                                              overhead_detector.get());
+  // `scores`, when given, receives the first repetition's scores.
+  const auto analyze_sweep = [&](engine::Session& session,
+                                 std::vector<double>* scores = nullptr) {
     double sink = 0.0;
     for (int rep = 0; rep < kAnalyzeReps; ++rep) {
       for (const auto& m : overhead_validation) {
-        sink += overhead_detector->analyze(m).log10_density;
+        const double d = session.analyze(m).log10_density;
+        sink += d;
+        if (scores != nullptr && rep == 0) scores->push_back(d);
       }
     }
-    return sink + static_cast<double>(runs.size());
+    return sink;
+  };
+  engine::Session overhead_session = overhead_engine->new_session();
+  const auto obs_workload = [&] {
+    const auto runs =
+        pipeline::run_scenarios(cfg, overhead_specs, &*overhead_engine);
+    return analyze_sweep(overhead_session) + static_cast<double>(runs.size());
   };
   const bool obs_was_enabled = obs::enabled();
   double obs_on_seconds = 1e300;
@@ -267,36 +276,26 @@ int main() {
                 "bind failed)\n");
   }
 
-  // Model-health overhead: the serial analyze sweep with the drift monitor
-  // attached vs. detached. The hook reuses the score and SPE analyze()
-  // already computed, so the marginal cost is a few P² marker updates, two
-  // drift-detector adds, and one mutex acquisition per interval — budgeted
-  // inside the same <2% obs contract.
+  // Model-health overhead: the serial analyze sweep through a session with
+  // the drift monitor attached vs. one without it. The hook reuses the score
+  // and SPE analyze() already computed, so the marginal cost is a few P²
+  // marker updates, two drift-detector adds, and one mutex acquisition per
+  // interval — budgeted inside the same <2% obs contract.
   obs::set_enabled(true);
-  const auto health_workload = [&] {
-    double sink = 0.0;
-    for (int rep = 0; rep < kAnalyzeReps; ++rep) {
-      for (const auto& m : overhead_validation) {
-        sink += overhead_detector->analyze(m).log10_density;
-      }
-    }
-    return sink;
-  };
-  const std::shared_ptr<obs::ModelHealthMonitor> health =
-      overhead_detector->model_health();
+  engine::SessionOptions health_off_opts;
+  health_off_opts.attach_health = false;
+  engine::Session health_off_session =
+      overhead_engine->new_session(health_off_opts);
   double health_on_seconds = 1e300;
   double health_off_seconds = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    overhead_detector->set_model_health(health);
     auto t_mh = Clock::now();
-    obs_sink += health_workload();
+    obs_sink += analyze_sweep(overhead_session);
     health_on_seconds = std::min(health_on_seconds, seconds_since(t_mh));
-    overhead_detector->set_model_health(nullptr);
     t_mh = Clock::now();
-    obs_sink += health_workload();
+    obs_sink += analyze_sweep(health_off_session);
     health_off_seconds = std::min(health_off_seconds, seconds_since(t_mh));
   }
-  overhead_detector->set_model_health(health);
   obs::set_enabled(obs_was_enabled);
   const double model_health_overhead_pct =
       health_off_seconds > 0.0
@@ -307,7 +306,7 @@ int main() {
       "[bench] model-health overhead: on=%.3fs off=%.3fs (%+.2f%%)\n",
       health_on_seconds, health_off_seconds, model_health_overhead_pct);
 
-  // History + incident overhead: the serial analyze sweep through a detector
+  // History + incident overhead: the serial analyze sweep through a session
   // carrying the multi-resolution score history and an armed incident
   // recorder vs. one with both stripped. The history append is O(1) ring
   // arithmetic and the recorder is a bounded pre-ring plus burst bookkeeping
@@ -316,40 +315,26 @@ int main() {
   // model-health hook is detached on both sides so only the new layers are
   // in the difference.
   obs::set_enabled(true);
-  const std::shared_ptr<const ModelSnapshot> overhead_snapshot =
-      overhead_detector->snapshot();
-  StreamObserver::Options hist_off_opts;
-  hist_off_opts.attach_health = false;
+  engine::SessionOptions hist_off_opts = health_off_opts;
   hist_off_opts.history_raw = 0;
-  AnomalyDetector hist_off_detector =
-      AnomalyDetector::from_snapshot(overhead_snapshot, hist_off_opts);
-  StreamObserver::Options hist_on_opts;
-  hist_on_opts.attach_health = false;
-  AnomalyDetector hist_on_detector =
-      AnomalyDetector::from_snapshot(overhead_snapshot, hist_on_opts);
+  engine::Session hist_off_session =
+      overhead_engine->new_session(hist_off_opts);
+  engine::Session hist_on_session =
+      overhead_engine->new_session(health_off_opts);
   obs::IncidentStore::Options inc_store_opts;
   inc_store_opts.dir = ".";
   obs::IncidentOptions inc_opts;
   inc_opts.min_gap = 1ULL << 40;  // At most one bundle across the sweep.
-  hist_on_detector.attach_incidents(
+  hist_on_session.attach_incidents(
       inc_opts, std::make_shared<obs::IncidentStore>(inc_store_opts));
-  const auto history_workload = [&](AnomalyDetector& det) {
-    double sink = 0.0;
-    for (int rep = 0; rep < kAnalyzeReps; ++rep) {
-      for (const auto& m : overhead_validation) {
-        sink += det.analyze(m).log10_density;
-      }
-    }
-    return sink;
-  };
   double history_on_seconds = 1e300;
   double history_off_seconds = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     auto t_hi = Clock::now();
-    obs_sink += history_workload(hist_on_detector);
+    obs_sink += analyze_sweep(hist_on_session);
     history_on_seconds = std::min(history_on_seconds, seconds_since(t_hi));
     t_hi = Clock::now();
-    obs_sink += history_workload(hist_off_detector);
+    obs_sink += analyze_sweep(hist_off_session);
     history_off_seconds = std::min(history_off_seconds, seconds_since(t_hi));
   }
   obs::set_enabled(obs_was_enabled);
@@ -372,17 +357,6 @@ int main() {
   // are compared bit-for-bit.
   obs::set_enabled(true);
   const bool prof_was_enabled = obs::prof::prof_enabled();
-  const auto prof_workload = [&](std::vector<double>* scores) {
-    double sink = 0.0;
-    for (int rep = 0; rep < kAnalyzeReps; ++rep) {
-      for (const auto& m : overhead_validation) {
-        const double d = overhead_detector->analyze(m).log10_density;
-        sink += d;
-        if (scores != nullptr && rep == 0) scores->push_back(d);
-      }
-    }
-    return sink;
-  };
   std::vector<double> prof_on_scores;
   std::vector<double> prof_off_scores;
   double prof_on_seconds = 1e300;
@@ -390,11 +364,13 @@ int main() {
   for (int rep = 0; rep < 3; ++rep) {
     obs::prof::set_prof_enabled(true);
     auto t_pr = Clock::now();
-    obs_sink += prof_workload(rep == 0 ? &prof_on_scores : nullptr);
+    obs_sink += analyze_sweep(overhead_session,
+                              rep == 0 ? &prof_on_scores : nullptr);
     prof_on_seconds = std::min(prof_on_seconds, seconds_since(t_pr));
     obs::prof::set_prof_enabled(false);
     t_pr = Clock::now();
-    obs_sink += prof_workload(rep == 0 ? &prof_off_scores : nullptr);
+    obs_sink += analyze_sweep(overhead_session,
+                              rep == 0 ? &prof_off_scores : nullptr);
     prof_off_seconds = std::min(prof_off_seconds, seconds_since(t_pr));
   }
   obs::prof::set_prof_enabled(prof_was_enabled);

@@ -36,10 +36,11 @@ ScenarioSummary run_one(const std::string& name,
   auto attack = attacks::make_scenario(name);
   const SimTime interval = config.monitor.interval;
   const SimTime trigger = 150 * interval;
+  engine::Session session = pipe.make_engine().new_session();
   pipeline::ScenarioRun run =
       pipeline::run_scenario(config, attack.get(), trigger,
-                             /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/2718);
+                             /*duration=*/400 * interval, &session,
+                             /*seed=*/2718);
 
   if (print_plot) {
     LinePlotOptions plot;

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "core/detector.hpp"
+#include "engine/engine.hpp"
 #include "core/explainer.hpp"
 #include "hw/address_trace.hpp"
 #include "hw/memometer.hpp"
@@ -109,9 +110,11 @@ int main() {
   std::size_t gmm_after = 0;
   std::size_t spe_before = 0;
   std::size_t spe_after = 0;
+  engine::Session session =
+      engine::DetectionEngine(detector.snapshot()).new_session();
   for (const auto& map : test) {
     const bool first_half = map.interval_index < test.size() / 2;
-    const Verdict v = detector.analyze(map);
+    const Verdict v = session.analyze(map);
     (first_half ? gmm_before : gmm_after) += v.anomalous;
     (first_half ? spe_before : spe_after) += spe.anomalous(map);
   }

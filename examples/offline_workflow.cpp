@@ -65,8 +65,10 @@ int main() {
   const AnomalyDetector large = candidate(9, 5);
 
   auto heldout_ll = [&](const AnomalyDetector& det) {
+    engine::Session session =
+        engine::DetectionEngine(det.snapshot()).new_session();
     double total = 0.0;
-    for (const auto& m : validation) total += det.score(m.as_vector());
+    for (const auto& m : validation) total += session.analyze(m).log10_density;
     return total / static_cast<double>(validation.size());
   };
   const double ll_small = heldout_ll(small);
@@ -79,13 +81,14 @@ int main() {
   // ---- 3. ship ----------------------------------------------------------
   std::printf("[3/4] shipping model to the secure core...\n");
   save_model_file(DetectorModel::from_detector(winner), model_path);
-  const AnomalyDetector deployed = load_model_file(model_path).to_detector();
+  const auto deployed = load_model_file(model_path).to_snapshot();
+  engine::Session session = engine::DetectionEngine(deployed).new_session();
 
   // ---- 4. deploy with filter + SPE + forensics --------------------------
   std::printf("[4/4] monitoring a live system (shellcode at t = 2 s)...\n\n");
   std::vector<std::vector<double>> validation_raw;
   for (const auto& m : validation) validation_raw.push_back(m.as_vector());
-  const SpeDetector spe(deployed.eigenmemory(), validation_raw, 0.01);
+  const SpeDetector spe(deployed->pca, validation_raw, 0.01);
   const AnomalyExplainer explainer =
       AnomalyExplainer::from_trace(training);
 
@@ -99,7 +102,7 @@ int main() {
   std::size_t confirmed_alarms = 0;
   bool forensics_printed = false;
   system.set_interval_observer([&](const HeatMap& map) {
-    const Verdict v = deployed.analyze(map);
+    const Verdict v = session.analyze(map);
     const bool raw_alarm = v.anomalous || spe.anomalous(map);
     if (filter.feed(raw_alarm)) {
       ++confirmed_alarms;

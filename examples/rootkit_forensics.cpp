@@ -37,9 +37,10 @@ int main() {
 
   const SimTime interval = config.monitor.interval;
   attacks::RootkitAttack attack(/*hijack_overhead=*/60 * kMicrosecond);
+  engine::Session session = pipe.make_engine().new_session();
   pipeline::ScenarioRun run = pipeline::run_scenario(
       config, &attack, /*trigger=*/100 * interval,
-      /*duration=*/400 * interval, pipe.detector.get(), /*seed=*/1234);
+      /*duration=*/400 * interval, &session, /*seed=*/1234);
 
   // --- view 1: what the volume baseline sees ---
   LinePlotOptions vol_plot;

@@ -38,7 +38,7 @@ int main() {
   sim::SystemConfig deployed = config;
   deployed.seed = 31415;
   sim::System system(deployed);
-  pipeline::SecureCoreMonitor monitor(system, pipe.det());
+  pipeline::SecureCoreMonitor monitor(system, pipe.make_engine());
 
   // Alarm handler: first alarm triggers the (simulated) recovery action.
   bool recovery_triggered = false;

@@ -67,7 +67,7 @@ class Gmm {
                                std::size_t* chosen = nullptr);
 
   /// Reusable workspace for the allocation-free scoring calls. The online
-  /// path (`AnomalyDetector::analyze`, every 10 ms interval) keeps one of
+  /// path (`engine::Session::analyze`, every 10 ms interval) keeps one of
   /// these per thread; after the first call the buffers never reallocate.
   struct Scratch {
     std::vector<double> terms;  ///< Per-component log joint density.

@@ -173,26 +173,11 @@ Gmm load_gmm(std::istream& in) {
   }
 }
 
-AnomalyDetector DetectorModel::to_detector() const {
-  return AnomalyDetector::assemble(eigenmemory, gmm,
-                                   ThresholdCalibrator(validation_scores),
-                                   primary_p);
-}
-
 std::shared_ptr<const ModelSnapshot> DetectorModel::to_snapshot(
     std::uint64_t version) const {
   return ModelSnapshot::assemble(eigenmemory, gmm,
                                  ThresholdCalibrator(validation_scores),
                                  primary_p, nullptr, version);
-}
-
-DetectorModel DetectorModel::from_detector(const AnomalyDetector& detector) {
-  DetectorModel model;
-  model.eigenmemory = detector.eigenmemory();
-  model.gmm = detector.gmm();
-  model.validation_scores = detector.thresholds().validation_scores();
-  model.primary_p = detector.primary_threshold().p;
-  return model;
 }
 
 DetectorModel DetectorModel::from_snapshot(const ModelSnapshot& snapshot) {

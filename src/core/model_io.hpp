@@ -36,9 +36,6 @@ struct DetectorModel {
   std::vector<double> validation_scores;  ///< For re-deriving any θ_p.
   double primary_p = 0.01;
 
-  /// Reassemble a working detector (recomputes GMM caches, θ_p).
-  AnomalyDetector to_detector() const;
-
   /// Reassemble an immutable scoring snapshot (the engine-layer artifact);
   /// `version` becomes the Verdict::model_version stamp. The snapshot
   /// carries no CellBaseline — the raw training set is not serialized.
@@ -46,7 +43,9 @@ struct DetectorModel {
       std::uint64_t version = 0) const;
 
   /// Capture a trained detector.
-  static DetectorModel from_detector(const AnomalyDetector& detector);
+  static DetectorModel from_detector(const AnomalyDetector& detector) {
+    return from_snapshot(*detector.snapshot());
+  }
   /// Capture a snapshot (the CellBaseline, if any, is not serialized).
   static DetectorModel from_snapshot(const ModelSnapshot& snapshot);
 };

@@ -25,9 +25,9 @@ namespace mhm {
 
 /// Per-stream observation bundle: the decision journal, the hyperperiod-
 /// phase metric handles and the model-health monitor that ride on one
-/// scored MHM stream. Both the single-stream AnomalyDetector façade and
-/// every engine::Session carry one, so a stream's telemetry travels with
-/// the stream instead of hanging off a process-global detector.
+/// scored MHM stream. Every engine::Session owns one, so a stream's
+/// telemetry travels with the stream instead of hanging off a
+/// process-global detector.
 ///
 /// The journal and the health monitor are per-observer (per-stream); the
 /// counters and gauges resolve through the process-wide Registry by name,
@@ -80,11 +80,11 @@ class StreamObserver {
   /// are views of the map and its projection from the scoring call (a batch
   /// scatter passes SoA column gathers; nothing is re-scored) — they are
   /// copied where retained, never stored as views. No-op while observability
-  /// is disabled. Thread-safe: the façade shares one observer across
-  /// concurrent scenario threads. Returns the model-health verdict for this
-  /// interval (kOk when no monitor is attached or observability is off) so
-  /// callers — the engine's clean-interval reservoir — can gate on it
-  /// without a second lock acquisition on the monitor.
+  /// is disabled. Called from the owning session's scoring thread only.
+  /// Returns the model-health verdict for this interval (kOk when no monitor
+  /// is attached or observability is off) so callers — the engine's
+  /// clean-interval reservoir — can gate on it without a second lock
+  /// acquisition on the monitor.
   obs::ModelHealthStatus record(const ModelSnapshot& snapshot,
                                 const Verdict& verdict,
                                 std::span<const double> raw,
@@ -102,9 +102,6 @@ class StreamObserver {
 
   std::shared_ptr<obs::ModelHealthMonitor> model_health() const {
     return health_;
-  }
-  void set_model_health(std::shared_ptr<obs::ModelHealthMonitor> monitor) {
-    health_ = std::move(monitor);
   }
 
   /// Multi-resolution score history (null when history_raw = 0).

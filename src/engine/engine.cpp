@@ -84,19 +84,7 @@ Session::Session(std::shared_ptr<detail::EngineShared> shared,
   std::lock_guard<std::mutex> lk(shared_->mu);
   snap_ = shared_->current;
   epoch_ = shared_->epoch.load(std::memory_order_acquire);
-  StreamObserver::Options obs_options;
-  obs_options.journal_capacity = options.journal_capacity;
-  obs_options.phases = options.phases;
-  obs_options.top_cells = options.top_cells;
-  obs_options.health_history = options.health_history;
-  obs_options.health_row_stride = options.health_row_stride;
-  obs_options.health_max_events = options.health_max_events;
-  obs_options.attach_health = options.attach_health;
-  obs_options.history_raw = options.history_raw;
-  obs_options.history_bins = options.history_bins;
-  obs_options.history_fold = options.history_fold;
-  obs_options.history_tiers = options.history_tiers;
-  observer_ = std::make_unique<StreamObserver>(*snap_, obs_options);
+  observer_ = std::make_unique<StreamObserver>(*snap_, options);
   if (options.clean_window_capacity > 0) {
     window_ = std::make_shared<NormalWindow>(options.clean_window_capacity);
   }
@@ -132,14 +120,18 @@ Verdict Session::analyze(std::span<const double> raw,
   const Verdict v = score_snapshot(*snap_, raw, interval_index, scratch_);
   {
     PROF_ZONE(kScoreObserve);
-    const obs::ModelHealthStatus status =
-        observer_->record(*snap_, v, raw, scratch_.reduced);
-    if (window_ != nullptr) {
-      window_->offer(raw, interval_index, v.anomalous, status);
-    }
-    if (status_hook_) status_hook_(interval_index, status);
+    observe(v, raw);
   }
   return v;
+}
+
+void Session::observe(const Verdict& v, std::span<const double> raw) {
+  const obs::ModelHealthStatus status =
+      observer_->record(*snap_, v, raw, scratch_.reduced);
+  if (window_ != nullptr) {
+    window_->offer(raw, v.interval_index, v.anomalous, status);
+  }
+  if (status_hook_) status_hook_(v.interval_index, status);
 }
 
 Verdict Session::analyze(const HeatMap& map) {
@@ -211,12 +203,7 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
     Session& s = *sessions[i];
     const Verdict v = workspace.batch.verdict(i);
     workspace.batch.extract_reduced(i, s.scratch_.reduced);
-    const obs::ModelHealthStatus status =
-        s.observer_->record(*s.snap_, v, raws[i], s.scratch_.reduced);
-    if (s.window_ != nullptr) {
-      s.window_->offer(raws[i], interval_indices[i], v.anomalous, status);
-    }
-    if (s.status_hook_) s.status_hook_(interval_indices[i], status);
+    s.observe(v, raws[i]);
     if (verdicts != nullptr) verdicts->push_back(v);
   }
 }

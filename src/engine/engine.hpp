@@ -28,27 +28,9 @@ struct EngineShared {
 
 }  // namespace detail
 
-/// Per-session knobs — mirrors AnomalyDetector::Options' journal fields
-/// plus the StreamObserver's model-health sizing overrides (the fleet
-/// preset: thousands of sessions must not each inherit single-stream-sized
-/// observability buffers; see fleet_preset()).
-struct SessionOptions {
-  /// "Keep the environment/global default" sentinel for the health knobs.
-  static constexpr std::size_t kFromEnv = static_cast<std::size_t>(-1);
-
-  std::size_t journal_capacity = 0;  ///< 0 keeps the journal default.
-  std::size_t phases = 10;           ///< Hyperperiod-phase modulus.
-  std::size_t top_cells = 8;         ///< Per-alarm cell explanations.
-  std::size_t health_history = kFromEnv;     ///< Recent-score ring (0=none).
-  std::size_t health_row_stride = kFromEnv;  ///< Raw-row cadence (0=never).
-  std::size_t health_max_events = kFromEnv;  ///< Transition log (0=none).
-  bool attach_health = true;  ///< False skips the per-session monitor.
-  /// Multi-resolution score history (obs/history): raw ring length (0 skips
-  /// the history), folded-tier bin count, fold factor and tier count.
-  std::size_t history_raw = 256;
-  std::size_t history_bins = 128;
-  std::size_t history_fold = 8;
-  std::size_t history_tiers = 2;
+/// Per-session knobs: the StreamObserver's options (journal, phases, model
+/// health, score history) plus the session-only clean-interval reservoir.
+struct SessionOptions : StreamObserver::Options {
   /// Clean-interval reservoir (engine/normal_window): rows the session
   /// retains for the continuous-retrain loop. 0 keeps no window — the
   /// default; only retrain-enabled deployments pay the capacity × L bound.
@@ -165,6 +147,9 @@ class Session {
           const SessionOptions& options);
 
   void refresh_model(std::uint64_t interval_index);
+  /// Record a scored interval (its projection in scratch_.reduced) through
+  /// the observer, the clean window and the status hook.
+  void observe(const Verdict& v, std::span<const double> raw);
 
   std::shared_ptr<detail::EngineShared> shared_;
   std::shared_ptr<const ModelSnapshot> snap_;

@@ -24,7 +24,7 @@ namespace mhm::obs {
 ///
 /// Two layers, mirroring journal/flight:
 ///  - IncidentRecorder: per-stream trigger logic + bounded pre-ring. One per
-///    Session (or the façade), fed from StreamObserver::record.
+///    Session, fed from StreamObserver::record.
 ///  - IncidentStore: process-level sink shared by every recorder. Renders
 ///    bundles into a preallocated buffer (the flight recorder's discipline:
 ///    prerender, then one write(2) sweep, `== end ==` last — a crash mid-

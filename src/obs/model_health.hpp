@@ -16,7 +16,7 @@ namespace mhm::obs {
 /// The detector's θ_p calibration assumes the trained GMM stays
 /// representative of normal behaviour; in a long-running deployment the
 /// normal MHM distribution drifts and the model goes stale silently. The
-/// ModelHealthMonitor rides on AnomalyDetector::analyze and keeps four
+/// ModelHealthMonitor rides on engine::Session::analyze and keeps four
 /// independent views of the live score stream, all deterministic and
 /// seed-free:
 ///

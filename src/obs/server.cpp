@@ -52,11 +52,7 @@ MonitorServer& MonitorServer::instance() {
   static MonitorServer* server = new MonitorServer();
   return *server;
 }
-bool MonitorServer::ensure_env_server(
-    std::shared_ptr<const DecisionJournal>,
-    std::shared_ptr<const ModelHealthMonitor>) {
-  return false;
-}
+bool MonitorServer::ensure_env_server() { return false; }
 
 #else
 
@@ -578,14 +574,8 @@ MonitorServer& MonitorServer::instance() {
   return *server;
 }
 
-bool MonitorServer::ensure_env_server(
-    std::shared_ptr<const DecisionJournal> journal,
-    std::shared_ptr<const ModelHealthMonitor> model_health) {
+bool MonitorServer::ensure_env_server() {
   MonitorServer& server = instance();
-  if (journal != nullptr) server.set_journal(std::move(journal));
-  if (model_health != nullptr) {
-    server.set_model_health(std::move(model_health));
-  }
   if (server.running()) return true;
   const char* env = std::getenv("MHM_OBS_PORT");
   if (env == nullptr || env[0] == '\0') return false;

@@ -106,15 +106,13 @@ class MonitorServer {
   static MonitorServer& instance();
 
   /// Start instance() on MHM_OBS_PORT when the variable names a valid port
-  /// and the server is not yet running; attaches `journal` and
-  /// `model_health` (when non-null) either way. Returns true when the
-  /// server is (now) running. MHM_OBS_PORT=0 binds a kernel-assigned
-  /// ephemeral port (reported on stderr and via port()) so concurrent test
-  /// processes never collide. The pipeline calls this from its long-running
-  /// entry points, making any run scrapeable without code changes.
-  static bool ensure_env_server(
-      std::shared_ptr<const DecisionJournal> journal = nullptr,
-      std::shared_ptr<const ModelHealthMonitor> model_health = nullptr);
+  /// and the server is not yet running. Returns true when the server is
+  /// (now) running. MHM_OBS_PORT=0 binds a kernel-assigned ephemeral port
+  /// (reported on stderr and via port()) so concurrent test processes never
+  /// collide. The pipeline calls this from its long-running entry points,
+  /// making any run's process-wide routes (/metrics, /status, /trace,
+  /// /profile) scrapeable without code changes.
+  static bool ensure_env_server();
 
  private:
   struct Impl;

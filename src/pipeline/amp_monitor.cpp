@@ -1,14 +1,11 @@
 #include "pipeline/amp_monitor.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "common/error.hpp"
 
 namespace mhm::pipeline {
 
 std::size_t AmpMonitor::attach(sim::System& system,
-                               const AnomalyDetector& detector,
+                               const engine::DetectionEngine& engine,
                                std::string name) {
   const SimTime interval = system.config().monitor.interval;
   if (interval_ == 0) {
@@ -18,13 +15,13 @@ std::size_t AmpMonitor::attach(sim::System& system,
         "AmpMonitor: all instances must share the monitoring interval");
   }
   const std::size_t index = instances_.size();
-  instances_.push_back(Instance{&system, &detector,
+  instances_.push_back(Instance{&system, engine.new_session(),
                                 name.empty() ? "os" + std::to_string(index)
                                              : std::move(name),
                                 {}});
   system.set_interval_observer([this, index](const HeatMap& map) {
     Instance& inst = instances_[index];
-    const Verdict v = inst.detector->analyze(map);
+    const Verdict v = inst.session.analyze(map);
     if (v.anomalous) {
       alarms_.push_back(InstanceAlarm{.instance = index,
                                       .interval_index = v.interval_index,
@@ -54,8 +51,13 @@ const std::string& AmpMonitor::name(std::size_t instance) const {
   return instances_[instance].name;
 }
 
-double AmpMonitor::mean_total_analysis_ns_per_interval() const {
-  // Sum per interval index across instances, then average over intervals.
+const engine::Session& AmpMonitor::session(std::size_t instance) const {
+  MHM_ASSERT(instance < instances_.size(),
+             "AmpMonitor::session: instance out of range");
+  return instances_[instance].session;
+}
+
+std::map<std::uint64_t, double> AmpMonitor::analysis_ns_per_interval() const {
   std::map<std::uint64_t, double> per_interval;
   for (const auto& inst : instances_) {
     for (const auto& v : inst.verdicts) {
@@ -63,6 +65,11 @@ double AmpMonitor::mean_total_analysis_ns_per_interval() const {
           static_cast<double>(v.analysis_time.count());
     }
   }
+  return per_interval;
+}
+
+double AmpMonitor::mean_total_analysis_ns_per_interval() const {
+  const auto per_interval = analysis_ns_per_interval();
   if (per_interval.empty()) return 0.0;
   double total = 0.0;
   for (const auto& [idx, ns] : per_interval) total += ns;
@@ -70,15 +77,8 @@ double AmpMonitor::mean_total_analysis_ns_per_interval() const {
 }
 
 std::size_t AmpMonitor::budget_overruns() const {
-  std::map<std::uint64_t, double> per_interval;
-  for (const auto& inst : instances_) {
-    for (const auto& v : inst.verdicts) {
-      per_interval[v.interval_index] +=
-          static_cast<double>(v.analysis_time.count());
-    }
-  }
   std::size_t overruns = 0;
-  for (const auto& [idx, ns] : per_interval) {
+  for (const auto& [idx, ns] : analysis_ns_per_interval()) {
     overruns += (ns > static_cast<double>(interval_));
   }
   return overruns;

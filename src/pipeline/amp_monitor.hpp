@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "core/detector.hpp"
-#include "pipeline/secure_core.hpp"
+#include "engine/engine.hpp"
 #include "sim/system.hpp"
 
 namespace mhm::pipeline {
@@ -14,10 +14,11 @@ namespace mhm::pipeline {
 ///
 /// "For AMP architectures on which multiple OSes run, the Memometer should
 /// be replicated for each OS instance." Each monitored instance keeps its
-/// own Memometer and its own trained detector (different OS images have
-/// different normal behaviour), while a single secure core performs all the
-/// analyses. The real-time budget becomes Σ analysis times ≤ interval; this
-/// class accounts for it the way SecureCoreMonitor does for one instance.
+/// own Memometer, its own trained model (different OS images have different
+/// normal behaviour) and its own scoring session, while a single secure core
+/// performs all the analyses. The real-time budget becomes Σ analysis times
+/// ≤ interval; this class accounts for it the way SecureCoreMonitor does
+/// for one instance.
 class AmpMonitor {
  public:
   struct InstanceAlarm {
@@ -27,10 +28,13 @@ class AmpMonitor {
   };
 
   AmpMonitor() = default;
+  AmpMonitor(const AmpMonitor&) = delete;
+  AmpMonitor& operator=(const AmpMonitor&) = delete;
 
-  /// Attach one monitored instance. `system` and `detector` must outlive
-  /// the monitor and the run. Returns the instance index.
-  std::size_t attach(sim::System& system, const AnomalyDetector& detector,
+  /// Attach one monitored instance, scored through a new session from
+  /// `engine`. `system` must outlive the monitor and the run. Returns the
+  /// instance index.
+  std::size_t attach(sim::System& system, const engine::DetectionEngine& engine,
                      std::string name = {});
 
   /// Run every attached instance for `duration` (they advance in lockstep
@@ -42,6 +46,8 @@ class AmpMonitor {
   const std::vector<InstanceAlarm>& alarms() const { return alarms_; }
   const std::vector<Verdict>& verdicts(std::size_t instance) const;
   const std::string& name(std::size_t instance) const;
+  /// The instance's own session (journal, health, history).
+  const engine::Session& session(std::size_t instance) const;
 
   /// Total secure-core analysis time spent per monitoring interval,
   /// averaged over intervals: the §5.5 budget Σ_i t_i. (Assumes equal
@@ -55,10 +61,13 @@ class AmpMonitor {
  private:
   struct Instance {
     sim::System* system = nullptr;
-    const AnomalyDetector* detector = nullptr;
+    engine::Session session;
     std::string name;
     std::vector<Verdict> verdicts;
   };
+
+  /// Summed analysis time of every instance, keyed by interval index.
+  std::map<std::uint64_t, double> analysis_ns_per_interval() const;
 
   std::vector<Instance> instances_;
   std::vector<InstanceAlarm> alarms_;

@@ -173,8 +173,7 @@ std::optional<std::uint64_t> ScenarioRun::detection_latency(
 ScenarioRun run_scenario(const sim::SystemConfig& config,
                          attacks::AttackScenario* attack,
                          SimTime trigger_time, SimTime duration,
-                         const AnomalyDetector* detector,
-                         std::uint64_t seed) {
+                         engine::Session* session, std::uint64_t seed) {
   sim::SystemConfig cfg = config;
   cfg.seed = seed;
   sim::System system(cfg);
@@ -192,15 +191,14 @@ ScenarioRun run_scenario(const sim::SystemConfig& config,
 
   // Secure-core loop, serving-shaped: pull each completed interval from the
   // engine-layer source and score it as the Memometer finishes it. The
-  // detector façade journals and reports health exactly as a live session
-  // would; the simulation itself never sees the verdicts, so pulling is
-  // bit-identical to the old push-style observer.
+  // simulation itself never sees the verdicts, so pulling is bit-identical
+  // to the old push-style observer.
   engine::SimIntervalSource source(system, duration);
   while (auto item = source.next()) {
     result.traffic_volumes.push_back(
         static_cast<double>(item->map.total_accesses()));
-    if (detector != nullptr) {
-      result.verdicts.push_back(detector->analyze(item->map));
+    if (session != nullptr) {
+      result.verdicts.push_back(session->analyze(item->map));
     }
   }
   result.maps = system.take_trace();
@@ -209,35 +207,30 @@ ScenarioRun run_scenario(const sim::SystemConfig& config,
 
 std::vector<ScenarioRun> run_scenarios(const sim::SystemConfig& config,
                                        const std::vector<ScenarioSpec>& specs,
-                                       const AnomalyDetector* detector) {
-  // Scenario fan-out: every spec simulates its own seeded system, so runs
-  // are independent and the batch result equals calling run_scenario() in a
-  // loop. Each chunk scores through its own detector copy — copies share
-  // the model snapshot and the observer (one aggregated journal / health
-  // stream) but own their scoring scratch, so chunks never share mutable
-  // scoring state.
+                                       const engine::DetectionEngine* engine) {
+  // Scenario fan-out: every spec simulates its own seeded system and scores
+  // through its own session, so runs share no mutable state and the batch
+  // result equals calling run_scenario() in a loop.
   std::vector<ScenarioRun> results(specs.size());
   // Long-running entry point: expose the process over MHM_OBS_PORT (no-op
   // when unset or already serving) so any batch is scrapeable mid-flight.
-  obs::MonitorServer::ensure_env_server(
-      detector != nullptr ? detector->journal_ptr() : nullptr,
-      detector != nullptr ? detector->model_health() : nullptr);
+  obs::MonitorServer::ensure_env_server();
   PipelineMetrics& metrics = pipeline_metrics();
   metrics.scenarios_completed.set(0.0);
   const bool heartbeat = progress_heartbeat_enabled();
   std::atomic<std::size_t> completed{0};
   parallel_for(specs.size(), 1, [&](std::size_t s0, std::size_t s1) {
-    std::optional<AnomalyDetector> local;
-    if (detector != nullptr) local.emplace(*detector);
-    const AnomalyDetector* chunk_detector = local ? &*local : nullptr;
     for (std::size_t s = s0; s < s1; ++s) {
       const ScenarioSpec& spec = specs[s];
       std::unique_ptr<attacks::AttackScenario> attack;
       if (!spec.attack.empty() && spec.attack != "normal") {
         attack = attacks::make_scenario(spec.attack);
       }
+      std::optional<engine::Session> session;
+      if (engine != nullptr) session.emplace(engine->new_session());
       results[s] = run_scenario(config, attack.get(), spec.trigger_time,
-                                spec.duration, chunk_detector, spec.seed);
+                                spec.duration, session ? &*session : nullptr,
+                                spec.seed);
 
       const std::size_t done = completed.fetch_add(1) + 1;
       metrics.scenarios_run.add();
@@ -283,10 +276,6 @@ TrainedPipeline train_pipeline(const sim::SystemConfig& config,
       AnomalyDetector::train(out.training, out.validation, options));
   out.theta_05 = out.detector->thresholds().theta_05();
   out.theta_1 = out.detector->thresholds().theta_1();
-  // A server started from MHM_OBS_PORT above now also answers /model and
-  // /journal for the freshly trained detector.
-  obs::MonitorServer::ensure_env_server(out.detector->journal_ptr(),
-                                        out.detector->model_health());
   return out;
 }
 

@@ -32,13 +32,13 @@ HeatMapTrace collect_normal_trace(const sim::SystemConfig& config,
 struct ScenarioRun {
   std::string scenario;                 ///< "normal" or the attack name.
   HeatMapTrace maps;                    ///< Every completed interval.
-  std::vector<Verdict> verdicts;        ///< One per interval (if detector).
+  std::vector<Verdict> verdicts;        ///< One per interval (if scored).
   std::vector<double> traffic_volumes;  ///< Total accesses per interval.
   std::uint64_t trigger_interval = 0;   ///< First attacked interval index.
   SimTime interval = 0;
 
   /// Scores in interval order, derived from the verdicts (empty when the
-  /// run had no detector).
+  /// run was collection only).
   std::vector<double> log10_densities() const;
 
   /// False-positive count among intervals strictly before the trigger,
@@ -53,13 +53,13 @@ struct ScenarioRun {
 };
 
 /// Run a scenario: simulate `duration`, optionally arming `attack` at
-/// `trigger_time`, scoring every interval with `detector` (may be null for
-/// collection-only runs).
+/// `trigger_time`, scoring every interval through the caller's `session`
+/// (null for collection-only runs). A fresh session's journal, health
+/// monitor and history then hold exactly this run's intervals.
 ScenarioRun run_scenario(const sim::SystemConfig& config,
                          attacks::AttackScenario* attack,
                          SimTime trigger_time, SimTime duration,
-                         const AnomalyDetector* detector,
-                         std::uint64_t seed);
+                         engine::Session* session, std::uint64_t seed);
 
 /// One entry of a scenario fan-out batch.
 struct ScenarioSpec {
@@ -71,15 +71,16 @@ struct ScenarioSpec {
 };
 
 /// Run a batch of scenarios concurrently — one independent seeded
-/// sim::System each — returning results in spec order. Equivalent to (and
-/// bit-identical with) calling run_scenario() in a loop; the shared
-/// `detector` may be scored from several threads at once.
+/// sim::System each — returning results in spec order. Each scenario is
+/// scored through its own default-options session from `engine` (null for
+/// collection only), so the batch is bit-identical with calling
+/// run_scenario() in a loop at any thread count.
 std::vector<ScenarioRun> run_scenarios(const sim::SystemConfig& config,
                                        const std::vector<ScenarioSpec>& specs,
-                                       const AnomalyDetector* detector);
+                                       const engine::DetectionEngine* engine);
 
-/// Everything needed to reproduce the paper's evaluation: a trained
-/// detector plus the thresholds and the traces that produced it.
+/// Everything needed to reproduce the paper's evaluation: a trained model
+/// plus the thresholds and the traces that produced it.
 struct TrainedPipeline {
   std::unique_ptr<AnomalyDetector> detector;
   HeatMapTrace training;

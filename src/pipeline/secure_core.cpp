@@ -5,11 +5,11 @@
 namespace mhm::pipeline {
 
 SecureCoreMonitor::SecureCoreMonitor(sim::System& system,
-                                     const AnomalyDetector& detector)
-    : detector_(&detector),
+                                     const engine::DetectionEngine& engine)
+    : session_(engine.new_session()),
       interval_length_(system.config().monitor.interval) {
   system.set_interval_observer([this](const HeatMap& map) {
-    Verdict v = detector_->analyze(map);
+    const Verdict v = session_.analyze(map);
     if (static_cast<SimTime>(v.analysis_time.count()) > interval_length_) {
       ++overruns_;
     }

@@ -4,6 +4,8 @@
 
 #include "attacks/attacks.hpp"
 #include "common/error.hpp"
+#include "obs/model_health.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm::pipeline {
@@ -46,12 +48,12 @@ TEST_F(AmpMonitorTest, RejectsEmptyAndMismatchedConfigs) {
 
   sim::SystemConfig cfg_a = fast_test_config();
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det());
+  monitor.attach(sys_a, pipe_a_->make_engine());
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.monitor.interval = 20 * kMillisecond;  // mismatched interval
   sim::System sys_b(cfg_b);
-  EXPECT_THROW(monitor.attach(sys_b, pipe_a_->det()), ConfigError);
+  EXPECT_THROW(monitor.attach(sys_b, pipe_a_->make_engine()), ConfigError);
 }
 
 TEST_F(AmpMonitorTest, MonitorsTwoInstancesIndependently) {
@@ -59,13 +61,13 @@ TEST_F(AmpMonitorTest, MonitorsTwoInstancesIndependently) {
   sim::SystemConfig cfg_a = fast_test_config();
   cfg_a.seed = 71;
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det(), "mibench_os");
+  monitor.attach(sys_a, pipe_a_->make_engine(), "mibench_os");
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.tasks = sim::avionics_task_set();
   cfg_b.seed = 72;
   sim::System sys_b(cfg_b);
-  monitor.attach(sys_b, pipe_b_->det(), "avionics_os");
+  monitor.attach(sys_b, pipe_b_->make_engine(), "avionics_os");
 
   EXPECT_EQ(monitor.instance_count(), 2u);
   EXPECT_EQ(monitor.name(0), "mibench_os");
@@ -83,13 +85,13 @@ TEST_F(AmpMonitorTest, AttackOnOneInstanceAlarmsOnlyThatInstance) {
   sim::SystemConfig cfg_a = fast_test_config();
   cfg_a.seed = 81;
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det(), "victim");
+  monitor.attach(sys_a, pipe_a_->make_engine(), "victim");
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.tasks = sim::avionics_task_set();
   cfg_b.seed = 82;
   sim::System sys_b(cfg_b);
-  monitor.attach(sys_b, pipe_b_->det(), "bystander");
+  monitor.attach(sys_b, pipe_b_->make_engine(), "bystander");
 
   attacks::ShellcodeAttack attack("bitcount");
   attack.arm(sys_a, 1 * kSecond);
@@ -112,7 +114,7 @@ TEST_F(AmpMonitorTest, BudgetAccountingScalesWithInstances) {
     sim::SystemConfig cfg = fast_test_config();
     cfg.seed = 90 + i;
     systems.push_back(std::make_unique<sim::System>(cfg));
-    monitor.attach(*systems.back(), pipe_a_->det());
+    monitor.attach(*systems.back(), pipe_a_->make_engine());
   }
   monitor.run_all(1 * kSecond);
   // Sum of three software analyses is far below the 10 ms interval. Judge
@@ -124,13 +126,51 @@ TEST_F(AmpMonitorTest, BudgetAccountingScalesWithInstances) {
   EXPECT_LT(monitor.budget_overruns(), 5u);
 }
 
+// Each instance observes through its own session: two instances sharing
+// one trained model keep separate journals and health monitors, each
+// holding exactly that instance's verdicts.
+TEST_F(AmpMonitorTest, EachInstanceSessionObservesOnlyItsOwnVerdicts) {
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  const engine::DetectionEngine engine = pipe_a_->make_engine();
+  sim::SystemConfig cfg_a = fast_test_config();
+  cfg_a.seed = 61;
+  sim::SystemConfig cfg_b = fast_test_config();
+  cfg_b.seed = 62;
+  sim::System sys_a(cfg_a);
+  sim::System sys_b(cfg_b);
+  AmpMonitor monitor;
+  monitor.attach(sys_a, engine);
+  monitor.attach(sys_b, engine);
+  monitor.run_all(500 * kMillisecond);
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::vector<Verdict>& verdicts = monitor.verdicts(i);
+    const auto records = monitor.session(i).journal().snapshot();
+    ASSERT_FALSE(verdicts.empty());
+    ASSERT_EQ(records.size(), verdicts.size()) << "instance " << i;
+    for (std::size_t k = 0; k < verdicts.size(); ++k) {
+      EXPECT_EQ(records[k].interval_index, verdicts[k].interval_index);
+      EXPECT_EQ(records[k].log10_density, verdicts[k].log10_density);
+    }
+    if (const auto health = monitor.session(i).model_health()) {
+      EXPECT_EQ(health->snapshot().intervals, verdicts.size());
+    }
+  }
+  EXPECT_NE(monitor.verdicts(0).front().log10_density,
+            monitor.verdicts(1).front().log10_density);
+  obs::set_enabled(obs_was_enabled);
+}
+
 TEST_F(AmpMonitorTest, AccessorsValidateInstanceIndex) {
   AmpMonitor monitor;
   sim::SystemConfig cfg = fast_test_config();
   sim::System sys(cfg);
-  monitor.attach(sys, pipe_a_->det());
+  monitor.attach(sys, pipe_a_->make_engine());
   EXPECT_THROW(monitor.verdicts(1), LogicError);
   EXPECT_THROW(monitor.name(1), LogicError);
+  EXPECT_THROW(monitor.session(1), LogicError);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
@@ -50,6 +51,11 @@ struct SyntheticWorld {
   }
 };
 
+/// Trained models are scored through an engine session.
+engine::Session session_for(const AnomalyDetector& det) {
+  return engine::DetectionEngine(det.snapshot()).new_session();
+}
+
 AnomalyDetector::Options small_options() {
   AnomalyDetector::Options opts;
   opts.pca.components = 5;
@@ -80,10 +86,10 @@ TEST(AnomalyDetector, TrainRejectsEmptySets) {
   SyntheticWorld world(1);
   const auto normal = world.batch(50, false);
   EXPECT_THROW(
-      AnomalyDetector::train(std::vector<std::vector<double>>{}, normal),
+      AnomalyDetector::train(std::vector<std::vector<double>>{}, normal, {}),
       ConfigError);
   EXPECT_THROW(
-      AnomalyDetector::train(normal, std::vector<std::vector<double>>{}),
+      AnomalyDetector::train(normal, std::vector<std::vector<double>>{}, {}),
       ConfigError);
 }
 
@@ -92,12 +98,13 @@ TEST(AnomalyDetector, NormalScoresAboveAnomalousScores) {
   const auto det = AnomalyDetector::train(world.batch(600, false),
                                           world.batch(200, false),
                                           small_options());
+  engine::Session session = session_for(det);
   double normal_mean = 0.0;
   double anomaly_mean = 0.0;
   const int n = 100;
-  for (int i = 0; i < n; ++i) {
-    normal_mean += det.score(world.normal_sample());
-    anomaly_mean += det.score(world.anomalous_sample());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    normal_mean += session.analyze(world.normal_sample(), i).log10_density;
+    anomaly_mean += session.analyze(world.anomalous_sample(), i).log10_density;
   }
   EXPECT_GT(normal_mean / n, anomaly_mean / n + 5.0);
 }
@@ -110,10 +117,11 @@ TEST(AnomalyDetector, FalsePositiveRateTracksP) {
   opts.primary_p = 0.05;
   const auto det = AnomalyDetector::train(world.batch(800, false),
                                           world.batch(400, false), opts);
+  engine::Session session = session_for(det);
   std::size_t alarms = 0;
   const std::size_t n = 1000;
   for (std::size_t i = 0; i < n; ++i) {
-    alarms += det.analyze(world.normal_sample(), i).anomalous;
+    alarms += session.analyze(world.normal_sample(), i).anomalous;
   }
   const double fp_rate = static_cast<double>(alarms) / n;
   EXPECT_GT(fp_rate, 0.01);
@@ -125,10 +133,11 @@ TEST(AnomalyDetector, DetectsDistributionShift) {
   const auto det = AnomalyDetector::train(world.batch(600, false),
                                           world.batch(300, false),
                                           small_options());
+  engine::Session session = session_for(det);
   std::size_t detected = 0;
   const std::size_t n = 200;
   for (std::size_t i = 0; i < n; ++i) {
-    detected += det.analyze(world.anomalous_sample(), i).anomalous;
+    detected += session.analyze(world.anomalous_sample(), i).anomalous;
   }
   EXPECT_GT(static_cast<double>(detected) / n, 0.9);
 }
@@ -138,7 +147,7 @@ TEST(AnomalyDetector, VerdictCarriesMetadata) {
   const auto det = AnomalyDetector::train(world.batch(300, false),
                                           world.batch(150, false),
                                           small_options());
-  const auto v = det.analyze(world.normal_sample(), 42);
+  const auto v = session_for(det).analyze(world.normal_sample(), 42);
   EXPECT_EQ(v.interval_index, 42u);
   EXPECT_TRUE(std::isfinite(v.log10_density));
   EXPECT_LT(v.nearest_pattern, det.gmm().component_count());
@@ -151,12 +160,15 @@ TEST(AnomalyDetector, TimingHistogramAccumulates) {
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
 
   SyntheticWorld world(6);
-  auto det = AnomalyDetector::train(world.batch(300, false),
+  const auto det = AnomalyDetector::train(world.batch(300, false),
                                           world.batch(150, false),
                                           small_options());
-  obs::Histogram& hist = AnomalyDetector::analysis_time_histogram();
+  engine::Session session = session_for(det);
+  obs::Histogram& hist = StreamObserver::analysis_time_histogram();
   hist.reset();
-  for (int i = 0; i < 10; ++i) (void)det.analyze(world.normal_sample());
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    (void)session.analyze(world.normal_sample(), i);
+  }
   EXPECT_EQ(hist.count(), 10u);
   EXPECT_GT(hist.sum(), 0.0);
 
@@ -164,9 +176,9 @@ TEST(AnomalyDetector, TimingHistogramAccumulates) {
 }
 
 TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
-  // The decision journal must be a faithful record of what analyze()
-  // returned — same density bits, same alarm, same pattern — plus the
-  // reduced coordinates of the projection that produced that density.
+  // A session's decision journal must be a faithful record of what
+  // analyze() returned — same density bits, same alarm, same pattern — plus
+  // the reduced coordinates of the projection that produced that density.
   const bool obs_was_enabled = obs::enabled();
   obs::set_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
@@ -175,17 +187,17 @@ TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
   const auto det = AnomalyDetector::train(world.batch(500, false),
                                           world.batch(200, false),
                                           small_options());
-  det.journal().clear();
+  engine::Session session = session_for(det);
 
   std::vector<std::vector<double>> samples;
   std::vector<Verdict> verdicts;
   for (std::uint64_t i = 0; i < 50; ++i) {
     samples.push_back(i % 5 == 4 ? world.anomalous_sample()
                                  : world.normal_sample());
-    verdicts.push_back(det.analyze(samples.back(), i));
+    verdicts.push_back(session.analyze(samples.back(), i));
   }
 
-  const auto records = det.journal().snapshot();
+  const auto records = session.journal().snapshot();
   ASSERT_EQ(records.size(), verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     const auto& rec = records[i];
@@ -204,7 +216,7 @@ TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
     }
   }
 
-  std::size_t journal_alarms = det.journal().alarms().size();
+  std::size_t journal_alarms = session.journal().alarms().size();
   std::size_t verdict_alarms = 0;
   for (const auto& v : verdicts) verdict_alarms += v.anomalous;
   EXPECT_EQ(journal_alarms, verdict_alarms);
@@ -234,7 +246,7 @@ TEST(AnomalyDetector, AnalyzeHeatMapOverload) {
   opts.gmm.components = 2;
   opts.gmm.restarts = 2;
   const auto det = AnomalyDetector::train(train_maps, valid_maps, opts);
-  const auto v = det.analyze(train_maps.front());
+  const auto v = session_for(det).analyze(train_maps.front());
   EXPECT_EQ(v.interval_index, 0u);
   EXPECT_FALSE(v.anomalous);  // training data must look normal
 }

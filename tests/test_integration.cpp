@@ -33,10 +33,10 @@ class IntegrationTest : public ::testing::Test {
 
   static ScenarioRun run_attack(attacks::AttackScenario* attack,
                                 std::uint64_t seed) {
+    engine::Session session = pipe_->make_engine().new_session();
     return pipeline::run_scenario(pipeline::fast_test_config(), attack,
                                   /*trigger=*/2 * kSecond,
-                                  /*duration=*/4 * kSecond,
-                                  pipe_->detector.get(), seed);
+                                  /*duration=*/4 * kSecond, &session, seed);
   }
 
   static double theta1() { return pipe_->theta_1.log10_value; }
@@ -52,9 +52,10 @@ TEST_F(IntegrationTest, TrainingRetainsAlmostAllVariance) {
 }
 
 TEST_F(IntegrationTest, NormalOperationStaysNormal) {
-  ScenarioRun run = pipeline::run_scenario(
-      pipeline::fast_test_config(), nullptr, 0, 4 * kSecond,
-      pipe_->detector.get(), /*seed=*/2024);
+  engine::Session session = pipe_->make_engine().new_session();
+  ScenarioRun run = pipeline::run_scenario(pipeline::fast_test_config(),
+                                           nullptr, 0, 4 * kSecond, &session,
+                                           /*seed=*/2024);
   const std::vector<double> dens = run.log10_densities();
   std::size_t alarms = 0;
   for (double d : dens) alarms += (d < theta1());
@@ -168,9 +169,9 @@ TEST_F(IntegrationTest, Scenario3VolumeSpikesOnlyAtLoad) {
 TEST_F(IntegrationTest, AnalysisTimeIsTinyComparedToInterval) {
   // §5.4: hundreds of microseconds against a 10 ms interval. Our software
   // implementation is faster still; assert the real-time property.
+  engine::Session session = pipe_->make_engine().new_session();
   ScenarioRun run = pipeline::run_scenario(
-      pipeline::fast_test_config(), nullptr, 0, 1 * kSecond,
-      pipe_->detector.get(), 37);
+      pipeline::fast_test_config(), nullptr, 0, 1 * kSecond, &session, 37);
   // Judge the distribution, not each sample: under a parallel test run the
   // host OS can occasionally preempt one analysis for milliseconds.
   std::vector<double> times_ns;

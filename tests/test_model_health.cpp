@@ -318,29 +318,29 @@ TEST(ModelHealthMonitorTest, NormalReplayStaysOkAttackReplayDoesNot) {
   const sim::SystemConfig cfg = pipeline::fast_test_config(1);
   pipeline::TrainedPipeline pipe = pipeline::train_pipeline(
       cfg, pipeline::fast_test_plan(), pipeline::fast_test_detector_options());
-  const auto health = pipe.detector->model_health();
-  ASSERT_NE(health, nullptr);
-  health->reset();
+  const engine::DetectionEngine engine = pipe.make_engine();
 
   const SimTime duration = 2 * kSecond;
+  engine::Session normal_session = engine.new_session();
+  ASSERT_NE(normal_session.model_health(), nullptr);
   const pipeline::ScenarioRun normal = pipeline::run_scenario(
-      cfg, nullptr, 0, duration, pipe.detector.get(), 4242);
+      cfg, nullptr, 0, duration, &normal_session, 4242);
   ASSERT_FALSE(normal.verdicts.empty());
   for (const Verdict& v : normal.verdicts) {
     EXPECT_TRUE(std::isfinite(v.spe));
     EXPECT_GE(v.spe, 0.0);
   }
-  ModelHealthSnapshot snap = health->snapshot();
+  ModelHealthSnapshot snap = normal_session.model_health()->snapshot();
   EXPECT_EQ(snap.status, ModelHealthStatus::kOk)
       << model_health_json(snap);
   EXPECT_EQ(snap.intervals, normal.verdicts.size());
 
-  health->reset();
   auto attack = attacks::make_scenario("app_addition");
   const SimTime trigger = 1 * kSecond;
+  engine::Session attacked_session = engine.new_session();
   const pipeline::ScenarioRun attacked = pipeline::run_scenario(
-      cfg, attack.get(), trigger, duration, pipe.detector.get(), 4242);
-  snap = health->snapshot();
+      cfg, attack.get(), trigger, duration, &attacked_session, 4242);
+  snap = attacked_session.model_health()->snapshot();
   EXPECT_NE(snap.status, ModelHealthStatus::kOk) << model_health_json(snap);
   ASSERT_FALSE(snap.events.empty());
   // No false transition before the attack fired.

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 
 namespace mhm {
 namespace {
@@ -44,19 +45,23 @@ TEST(ModelIo, RoundTripPreservesScores) {
   std::stringstream buffer;
   save_model(model, buffer);
   const DetectorModel loaded = load_model(buffer);
-  const AnomalyDetector restored = loaded.to_detector();
+  const auto restored = loaded.to_snapshot();
+  engine::Session original_session =
+      engine::DetectionEngine(fx.detector.snapshot()).new_session();
+  engine::Session restored_session =
+      engine::DetectionEngine(restored).new_session();
 
   Rng rng(2);
-  for (int i = 0; i < 50; ++i) {
+  for (std::uint64_t i = 0; i < 50; ++i) {
     std::vector<double> probe(12);
     for (double& v : probe) v = rng.uniform(0.0, 40.0);
-    EXPECT_DOUBLE_EQ(fx.detector.score(probe), restored.score(probe))
+    EXPECT_DOUBLE_EQ(original_session.analyze(probe, i).log10_density,
+                     restored_session.analyze(probe, i).log10_density)
         << "probe " << i;
   }
   EXPECT_DOUBLE_EQ(fx.detector.primary_threshold().log10_value,
-                   restored.primary_threshold().log10_value);
-  EXPECT_DOUBLE_EQ(fx.detector.primary_threshold().p,
-                   restored.primary_threshold().p);
+                   restored->primary.log10_value);
+  EXPECT_DOUBLE_EQ(fx.detector.primary_threshold().p, restored->primary.p);
 }
 
 TEST(ModelIo, RoundTripPreservesEigenmemory) {
@@ -88,9 +93,14 @@ TEST(ModelIo, FileRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mhm_model_test.bin").string();
   save_model_file(DetectorModel::from_detector(fx.detector), path);
-  const AnomalyDetector restored = load_model_file(path).to_detector();
+  const engine::DetectionEngine restored(load_model_file(path).to_snapshot());
   const std::vector<double> probe(12, 3.0);
-  EXPECT_DOUBLE_EQ(fx.detector.score(probe), restored.score(probe));
+  EXPECT_DOUBLE_EQ(
+      engine::DetectionEngine(fx.detector.snapshot())
+          .new_session()
+          .analyze(probe, 0)
+          .log10_density,
+      restored.new_session().analyze(probe, 0).log10_density);
   std::filesystem::remove(path);
 }
 

@@ -164,15 +164,16 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
       pipeline::train_pipeline(cfg, pipeline::fast_test_plan(),
                                pipeline::fast_test_detector_options());
   auto attack = attacks::make_scenario("shellcode");
+  engine::Session session = pipe.make_engine().new_session();
   const pipeline::ScenarioRun run = pipeline::run_scenario(
-      cfg, attack.get(), 500 * kMillisecond, 1500 * kMillisecond,
-      &pipe.det(), 42);
+      cfg, attack.get(), 500 * kMillisecond, 1500 * kMillisecond, &session,
+      42);
 
   std::size_t verdict_alarms = 0;
   for (const auto& v : run.verdicts) verdict_alarms += v.anomalous;
   ASSERT_GT(verdict_alarms, 0u) << "shellcode must trip the detector";
 
-  const auto alarms = pipe.det().journal().alarms();
+  const auto alarms = session.journal().alarms();
   EXPECT_EQ(alarms.size(), verdict_alarms);
   for (const auto& rec : alarms) {
     EXPECT_LT(rec.log10_density, rec.threshold);
@@ -188,7 +189,7 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
   // Every alarm is findable by interval index.
   for (const auto& v : run.verdicts) {
     if (!v.anomalous) continue;
-    const auto rec = pipe.det().journal().find(v.interval_index);
+    const auto rec = session.journal().find(v.interval_index);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->log10_density, v.log10_density);  // bit-for-bit
   }

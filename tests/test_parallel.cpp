@@ -1,12 +1,14 @@
 // The deterministic parallel runtime's contract: for a fixed input and seed,
 // every result in the repository is bit-identical at any thread count —
 // including 1, which must also match the historical serial code. These tests
-// sweep thread counts {1, 2, 8} over the ThreadPool primitives and the three
-// parallelized hot paths (trace collection, Eigenmemory::fit, Gmm::fit).
+// sweep thread counts {1, 2, 8} over the ThreadPool primitives and the
+// parallelized hot paths (trace collection, Eigenmemory::fit, Gmm::fit, the
+// scenario fan-out and its per-scenario observation).
 
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "common/rng.hpp"
 #include "core/gmm.hpp"
 #include "core/pca.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm {
@@ -236,14 +240,95 @@ TEST(ParallelDeterminism, ScenarioFanOutMatchesSerialRuns) {
       {.attack = "", .trigger_time = 0, .duration = duration, .seed = 502},
       {.attack = "", .trigger_time = 0, .duration = duration, .seed = 503},
   };
-  const auto batch = pipeline::run_scenarios(cfg, specs, pipe.detector.get());
+  const engine::DetectionEngine engine = pipe.make_engine();
+  const auto batch = pipeline::run_scenarios(cfg, specs, &engine);
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    const auto serial = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), specs[s].seed);
+    engine::Session session = engine.new_session();
+    const auto serial = pipeline::run_scenario(cfg, nullptr, 0, duration,
+                                               &session, specs[s].seed);
     EXPECT_EQ(batch[s].log10_densities(), serial.log10_densities())
         << "scenario " << s;
   }
+}
+
+/// Registry counter value by dotted name (0 when absent).
+double counter_value(const std::vector<obs::MetricSnapshot>& snap,
+                     const std::string& name) {
+  for (const auto& m : snap) {
+    if (m.name == name) return m.value;
+  }
+  return 0.0;
+}
+
+// One session per scenario: an 8-spec batch scored at 1 and at 4 threads
+// yields bit-identical verdicts, and its observation adds the same amounts
+// to the detector counters (total and per hyperperiod phase).
+TEST(ParallelDeterminism, ScenarioObservationMatchesAcrossThreadCounts) {
+  GlobalThreadsGuard guard;
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  const sim::SystemConfig cfg = pipeline::fast_test_config();
+  pipeline::ProfilingPlan plan = pipeline::fast_test_plan();
+  plan.runs = 2;
+  plan.run_duration = 300 * kMillisecond;
+  const auto pipe = pipeline::train_pipeline(
+      cfg, plan, pipeline::fast_test_detector_options());
+  const engine::DetectionEngine engine = pipe.make_engine();
+
+  const SimTime duration = 30 * cfg.monitor.interval;
+  std::vector<pipeline::ScenarioSpec> specs;
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    specs.push_back({.attack = s % 2 == 0 ? "" : "shellcode",
+                     .trigger_time = 10 * cfg.monitor.interval,
+                     .duration = duration,
+                     .seed = 700 + s});
+  }
+  std::vector<std::string> names = {"detector.intervals_analyzed",
+                                    "detector.alarms"};
+  for (std::size_t p = 0; p < 10; ++p) {
+    names.push_back("detector.alarms_by_phase." + std::to_string(p));
+  }
+
+  std::vector<std::vector<pipeline::ScenarioRun>> batches;
+  std::vector<std::vector<double>> deltas;
+  for (const std::size_t threads : {1u, 4u}) {
+    set_global_threads(threads);
+    const auto before = obs::Registry::instance().snapshot();
+    batches.push_back(pipeline::run_scenarios(cfg, specs, &engine));
+    const auto after = obs::Registry::instance().snapshot();
+    std::vector<double> delta;
+    for (const auto& name : names) {
+      delta.push_back(counter_value(after, name) -
+                      counter_value(before, name));
+    }
+    deltas.push_back(std::move(delta));
+  }
+
+  ASSERT_EQ(batches[0].size(), specs.size());
+  ASSERT_EQ(batches[1].size(), specs.size());
+  std::size_t intervals = 0;
+  std::size_t alarms = 0;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const auto& a = batches[0][s].verdicts;
+    const auto& b = batches[1][s].verdicts;
+    ASSERT_EQ(a.size(), b.size()) << "scenario " << s;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].log10_density),
+                std::bit_cast<std::uint64_t>(b[i].log10_density))
+          << "scenario " << s << " interval " << i;
+      EXPECT_EQ(a[i].anomalous, b[i].anomalous);
+      EXPECT_EQ(a[i].nearest_pattern, b[i].nearest_pattern);
+      alarms += a[i].anomalous;
+    }
+    intervals += a.size();
+  }
+  EXPECT_EQ(deltas[0], deltas[1]);
+  EXPECT_EQ(deltas[0][0], static_cast<double>(intervals));
+  EXPECT_EQ(deltas[0][1], static_cast<double>(alarms));
+  EXPECT_GT(alarms, 0u);
+  obs::set_enabled(obs_was_enabled);
 }
 
 }  // namespace

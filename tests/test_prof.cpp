@@ -286,14 +286,17 @@ TEST_F(ProfDeterminismTest, VerdictsAreBitIdenticalWithProfilingToggled) {
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   ProfGuard guard;
   attacks::ShellcodeAttack attack("bitcount");
+  const engine::DetectionEngine engine = pipe_->make_engine();
   set_prof_enabled(true);
+  engine::Session on_session = engine.new_session();
   const pipeline::ScenarioRun on = pipeline::run_scenario(
       pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-      pipe_->detector.get(), 42);
+      &on_session, 42);
   set_prof_enabled(false);
+  engine::Session off_session = engine.new_session();
   const pipeline::ScenarioRun off = pipeline::run_scenario(
       pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-      pipe_->detector.get(), 42);
+      &off_session, 42);
   ASSERT_EQ(on.verdicts.size(), off.verdicts.size());
   ASSERT_FALSE(on.verdicts.empty());
   for (std::size_t i = 0; i < on.verdicts.size(); ++i) {

@@ -394,14 +394,15 @@ int cmd_monitor(const Args& args) {
   const DetectorModel model = std::filesystem::is_directory(model_path)
                                   ? ModelRegistry(model_path).load_latest()
                                   : load_model_file(model_path);
-  const AnomalyDetector detector = model.to_detector();
+  const engine::DetectionEngine engine(model.to_snapshot());
+  const ModelSnapshot& snapshot = *engine.current_model();
 
   sim::SystemConfig cfg = config_from(args);
-  if (cfg.monitor.cell_count() != detector.eigenmemory().input_dim()) {
+  if (cfg.monitor.cell_count() != snapshot.pca.input_dim()) {
     std::fprintf(stderr,
                  "monitor: model expects %zu cells but the configured system "
                  "produces %zu — match --granularity to the training run\n",
-                 detector.eigenmemory().input_dim(), cfg.monitor.cell_count());
+                 snapshot.pca.input_dim(), cfg.monitor.cell_count());
     return 1;
   }
 
@@ -412,14 +413,15 @@ int cmd_monitor(const Args& args) {
     attack = attacks::make_scenario(*name);
   }
 
+  engine::Session session = engine.new_session();
   pipeline::ScenarioRun run = pipeline::run_scenario(
-      cfg, attack.get(), trigger, duration, &detector,
+      cfg, attack.get(), trigger, duration, &session,
       args.get_u64("seed", 42));
 
   LinePlotOptions plot;
   plot.title = attack ? "log10 Pr(M) — attack '" + run.scenario + "' at the bar"
                       : "log10 Pr(M) — normal run";
-  plot.hlines = {detector.primary_threshold().log10_value};
+  plot.hlines = {snapshot.primary.log10_value};
   if (attack) plot.vlines = {static_cast<double>(run.trigger_interval)};
   std::fputs(render_line_plot(run.log10_densities(), plot).c_str(), stdout);
 
@@ -427,10 +429,9 @@ int cmd_monitor(const Args& args) {
   for (const auto& v : run.verdicts) alarms += v.anomalous;
   std::printf("%zu intervals analyzed, %zu flagged anomalous "
               "(threshold theta at p = %.3f)\n",
-              run.verdicts.size(), alarms, detector.primary_threshold().p);
+              run.verdicts.size(), alarms, snapshot.primary.p);
   if (attack) {
-    const auto latency =
-        run.detection_latency(detector.primary_threshold().log10_value);
+    const auto latency = run.detection_latency(snapshot.primary.log10_value);
     std::printf("attack '%s' at interval %llu: %s\n", run.scenario.c_str(),
                 static_cast<unsigned long long>(run.trigger_interval),
                 latency ? ("detected +" + std::to_string(*latency) +
@@ -694,11 +695,12 @@ int cmd_journal(const Args& args) {
   std::unique_ptr<attacks::AttackScenario> attack;
   if (attack_name != "normal") attack = attacks::make_scenario(attack_name);
 
+  engine::Session session = pipe.make_engine().new_session();
   pipeline::ScenarioRun run =
-      pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                             &pipe.det(), args.get_u64("seed", 42));
+      pipeline::run_scenario(cfg, attack.get(), trigger, duration, &session,
+                             args.get_u64("seed", 42));
 
-  const obs::DecisionJournal& journal = pipe.det().journal();
+  const obs::DecisionJournal& journal = session.journal();
   if (args.get("format", "text") == "jsonl") {
     return emit_text(args, obs::journal_json_lines(journal));
   }
@@ -747,48 +749,40 @@ int cmd_serve(const Args& args) {
   pipeline::TrainedPipeline pipe = pipeline::train_pipeline(
       cfg, pipeline::fast_test_plan(), pipeline::fast_test_detector_options());
 
-  // --registry DIR versions the freshly trained model and re-hangs the same
-  // observation stack on a snapshot carrying that version stamp — every
-  // verdict (and incident bundle) then names a registry version that
-  // `incidents replay` can reload for bit-identical re-scoring.
-  std::optional<AnomalyDetector> versioned;
-  AnomalyDetector* det = pipe.detector.get();
+  // --registry DIR versions the freshly trained model and serves a snapshot
+  // carrying that version stamp — every verdict (and incident bundle) then
+  // names a registry version that `incidents replay` can reload for
+  // bit-identical re-scoring.
+  std::shared_ptr<const ModelSnapshot> model = pipe.det().snapshot();
   std::shared_ptr<ModelRegistry> registry;
   if (const auto registry_dir = args.get_optional("registry")) {
     registry = std::make_shared<ModelRegistry>(*registry_dir);
     const std::uint64_t version =
         registry->save(DetectorModel::from_detector(pipe.det()));
-    const std::shared_ptr<const ModelSnapshot> base = pipe.det().snapshot();
-    versioned.emplace(AnomalyDetector::from_snapshot(
-        ModelSnapshot::assemble(base->pca, base->gmm, base->calibrator,
-                                base->primary.p, base->baseline, version)));
-    det = &*versioned;
+    model = ModelSnapshot::assemble(model->pca, model->gmm, model->calibrator,
+                                    model->primary.p, model->baseline, version);
     std::printf("model registered as version %llu in %s\n",
                 static_cast<unsigned long long>(version),
                 registry->directory().c_str());
     std::fflush(stdout);
   }
 
-  // --auto-retrain 1 runs the replays through an engine session with a
-  // clean-interval reservoir and a background RetrainManager: sustained
-  // drift trains a candidate on the window, validates it, registers it
-  // (when --registry is set) and hot-swaps it into the live session. The
-  // plain path keeps scoring through the detector façade.
+  // One engine session scores every replay as one continuous stream.
+  // --auto-retrain 1 gives it a clean-interval reservoir and a background
+  // RetrainManager: sustained drift trains a candidate on the window,
+  // validates it, registers it (when --registry is set) and hot-swaps it
+  // into the live session.
   const bool auto_retrain = args.get_u64("auto-retrain", 0) != 0;
-  std::optional<engine::DetectionEngine> engine;
-  std::optional<engine::Session> session;
+  engine::DetectionEngine engine(model);
+  engine::SessionOptions so;
   if (auto_retrain) {
-    engine.emplace(det->snapshot());
-    engine::SessionOptions so;
     so.clean_window_capacity = args.get_u64("retrain-window", 512);
-    session.emplace(engine->new_session(so));
   }
+  engine::Session session = engine.new_session(so);
 
-  const auto live_journal =
-      session ? session->journal_ptr() : det->journal_ptr();
   obs::FlightRecorder::Options fr_opts;
   fr_opts.dir = args.get("flight-dir", ".");
-  if (!obs::FlightRecorder::instance().arm(fr_opts, live_journal)) {
+  if (!obs::FlightRecorder::instance().arm(fr_opts, session.journal_ptr())) {
     std::fprintf(stderr, "serve: cannot arm flight recorder in %s\n",
                  fr_opts.dir.c_str());
     return 1;
@@ -800,11 +794,7 @@ int cmd_serve(const Args& args) {
   auto incidents = std::make_shared<obs::IncidentStore>(inc_opts);
   obs::IncidentOptions inc_trigger;
   inc_trigger.min_gap = args.get_u64("incident-gap", inc_trigger.min_gap);
-  if (session) {
-    session->attach_incidents(inc_trigger, incidents);
-  } else {
-    det->attach_incidents(inc_trigger, incidents);
-  }
+  session.attach_incidents(inc_trigger, incidents);
 
   obs::MonitorServer server;
   obs::MonitorServer::Options srv_opts;
@@ -815,14 +805,11 @@ int cmd_serve(const Args& args) {
     obs::FlightRecorder::instance().disarm();
     return 1;
   }
-  server.set_journal(live_journal);
-  server.set_model_health(session ? session->model_health()
-                                  : det->model_health());
-  server.set_history(session ? session->score_history()
-                             : det->score_history());
+  server.set_journal(session.journal_ptr());
+  server.set_model_health(session.model_health());
+  server.set_history(session.score_history());
   server.set_incidents(incidents);
-  obs::FlightRecorder::instance().set_model_health(
-      session ? session->model_health() : det->model_health());
+  obs::FlightRecorder::instance().set_model_health(session.model_health());
   obs::FlightRecorder::instance().set_incidents(
       [incidents] { return incidents->dump_section(); });
 
@@ -837,17 +824,16 @@ int cmd_serve(const Args& args) {
     ro.min_window = args.get_u64("retrain-min-window", 96);
     ro.gmm_restarts = 2;
     manager = std::make_shared<engine::RetrainManager>(
-        *engine, session->clean_window(), registry, ro);
-    engine::Session* sess = &*session;
-    sess->set_status_hook(
+        engine, session.clean_window(), registry, ro);
+    session.set_status_hook(
         [manager_raw = manager.get()](std::uint64_t interval,
                                       obs::ModelHealthStatus status) {
           manager_raw->note(interval, status);
         });
-    manager->set_publish_hook([sess, incidents](
+    manager->set_publish_hook([&session, incidents](
                                   const engine::RetrainReport& r) {
-      sess->annotate_next("model auto-retrained: published version " +
-                          std::to_string(r.version));
+      session.annotate_next("model auto-retrained: published version " +
+                            std::to_string(r.version));
       obs::Incident marker;
       marker.reason = "retrain_publish";
       marker.detail = "v" + std::to_string(r.version) +
@@ -907,58 +893,45 @@ int cmd_serve(const Args& args) {
       run_cfg.device_irq_mean_period = 2 * kMillisecond;
       run_cfg.jitter_scale = 1.25;
     }
-    if (session) {
-      // Engine path: generate the maps detector-free and score them through
-      // the live session, so the retrain loop sees one continuous stream.
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          run_cfg, attack.get(), trigger, duration, nullptr, seed + s);
-      std::size_t run_alarms = 0;
-      for (const auto& m : run.maps) {
-        const Verdict v = session->analyze(m.as_vector(), next_interval++);
-        run_alarms += v.anomalous;
-      }
-      alarms += run_alarms;
-      // A publish rebinds the session's health monitor at the swap
-      // boundary; re-attach the live handle for /model and the recorder.
-      server.set_model_health(session->model_health());
-      obs::FlightRecorder::instance().set_model_health(
-          session->model_health());
-      std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so "
-                  "far; retrain %s, model v%llu\n",
-                  static_cast<unsigned long long>(s + 1),
-                  static_cast<unsigned long long>(scenarios),
-                  run.scenario.c_str(), run.maps.size(), alarms,
-                  engine::to_string(manager->state()),
-                  static_cast<unsigned long long>(session->model_version()));
-    } else {
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          run_cfg, attack.get(), trigger, duration, det, seed + s);
-      for (const auto& v : run.verdicts) alarms += v.anomalous;
-      std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so "
-                  "far\n",
-                  static_cast<unsigned long long>(s + 1),
-                  static_cast<unsigned long long>(scenarios),
-                  run.scenario.c_str(), run.verdicts.size(), alarms);
+    // Generate the maps unscored and feed them to the live session with
+    // continuing interval indices, so the journal, history, incident
+    // recorder and retrain loop all see one stream.
+    const pipeline::ScenarioRun run = pipeline::run_scenario(
+        run_cfg, attack.get(), trigger, duration, nullptr, seed + s);
+    for (const auto& m : run.maps) {
+      alarms += session.analyze(m.as_vector(), next_interval++).anomalous;
     }
+    // A publish rebinds the session's health monitor at the swap boundary;
+    // re-attach the live handle for /model and the recorder.
+    server.set_model_health(session.model_health());
+    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so far",
+                static_cast<unsigned long long>(s + 1),
+                static_cast<unsigned long long>(scenarios),
+                run.scenario.c_str(), run.maps.size(), alarms);
+    if (manager != nullptr) {
+      std::printf("; retrain %s, model v%llu",
+                  engine::to_string(manager->state()),
+                  static_cast<unsigned long long>(session.model_version()));
+    }
+    std::printf("\n");
     std::fflush(stdout);
   }
   if (manager != nullptr) {
     manager->drain();
-    server.set_model_health(session->model_health());
-    obs::FlightRecorder::instance().set_model_health(
-        session->model_health());
+    server.set_model_health(session.model_health());
+    obs::FlightRecorder::instance().set_model_health(session.model_health());
     std::printf("retrain loop: %llu published, %llu rejected, state %s, "
                 "serving model version %llu\n",
                 static_cast<unsigned long long>(manager->published()),
                 static_cast<unsigned long long>(manager->rejected_count()),
                 engine::to_string(manager->state()),
-                static_cast<unsigned long long>(engine->model_version()));
+                static_cast<unsigned long long>(engine.model_version()));
     std::fflush(stdout);
   }
   std::printf("incidents: %llu committed\n",
               static_cast<unsigned long long>(incidents->total_committed()));
-  if (const auto health = session ? session->model_health()
-                                  : det->model_health()) {
+  if (const auto health = session.model_health()) {
     const obs::ModelHealthSnapshot snap = health->snapshot();
     std::printf("model health: %s (alarm rate %.4f, expected p %.4f)\n",
                 obs::to_string(snap.status), snap.alarm_rate, snap.expected_p);
@@ -1242,12 +1215,12 @@ int cmd_incidents_replay(const Args& args) {
 
   // Bit-identity contract: the bundle stores score/SPE as hexfloat, so the
   // comparison is on exact bit patterns, never a tolerance.
-  ScoreScratch scratch;
+  engine::Session session = engine::DetectionEngine(snapshot).new_session();
   std::size_t checked = 0;
   std::size_t mismatches = 0;
   for (const auto& e : inc.window) {
     if (e.row.empty()) continue;
-    const Verdict v = score_snapshot(*snapshot, e.row, e.interval, scratch);
+    const Verdict v = session.analyze(e.row, e.interval);
     char got_score[48], want_score[48], got_spe[48], want_spe[48];
     std::snprintf(got_score, sizeof got_score, "%a", v.log10_density);
     std::snprintf(want_score, sizeof want_score, "%a", e.score);
