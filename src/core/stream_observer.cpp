@@ -1,10 +1,8 @@
 #include "core/stream_observer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
-#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
@@ -207,41 +205,13 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
   rec.model_version = verdict.model_version;
   rec.top_cells.clear();
   const CellBaseline* baseline = snapshot.baseline.get();
-  if (verdict.anomalous && baseline != nullptr && top_cells_ > 0 &&
+  if (verdict.anomalous && baseline != nullptr &&
       baseline->mean.size() == raw.size()) {
     // Rank cells by |z| against the training baseline — O(L), alarms only.
-    std::vector<std::size_t> order(raw.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    // Cells hold integer fetch counts, so one count is the natural floor
-    // for the spread: a never-touched training cell that lights up scores
-    // z = observed instead of blowing up on a zero stddev.
-    const auto z_of = [&](std::size_t i) {
-      return (raw[i] - baseline->mean[i]) / std::max(baseline->stddev[i], 1.0);
-    };
-    const std::size_t keep = std::min(top_cells_, order.size());
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(keep),
-                      order.end(), [&](std::size_t a, std::size_t b) {
-                        const double za = std::abs(z_of(a));
-                        const double zb = std::abs(z_of(b));
-                        if (za != zb) return za > zb;
-                        return a < b;
-                      });
-    rec.top_cells.reserve(keep);
-    for (std::size_t r = 0; r < keep; ++r) {
-      const std::size_t i = order[r];
-      rec.top_cells.push_back(obs::CellContribution{.cell = i,
-                                                    .observed = raw[i],
-                                                    .expected =
-                                                        baseline->mean[i],
-                                                    .z_score = z_of(i)});
-    }
+    obs::rank_cells_by_z(raw, baseline->mean, baseline->stddev, top_cells_,
+                         rec.top_cells);
   }
   journal_->append_swap(rec);
-  // Crash-safe black box: remember the raw row and, on alarm, leave a
-  // rate-limited .mhmdump on disk. One relaxed load while unarmed.
-  obs::FlightRecorder::instance().note_interval(raw, verdict.interval_index,
-                                                verdict.anomalous);
   return status;
 }
 

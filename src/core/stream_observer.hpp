@@ -76,10 +76,10 @@ class StreamObserver {
   StreamObserver(const ModelSnapshot& snapshot, const Options& options);
 
   /// Record one scored interval: process + per-phase metrics, model-health
-  /// observation, journal append, flight-recorder note. `raw` and `reduced`
-  /// are views of the map and its projection from the scoring call (a batch
-  /// scatter passes SoA column gathers; nothing is re-scored) — they are
-  /// copied where retained, never stored as views. No-op while observability
+  /// observation, score history, incident recorder, journal append. `raw`
+  /// and `reduced` are views of the map and its projection from the scoring
+  /// call (a batch scatter passes SoA column gathers; nothing is re-scored)
+  /// — they are copied where retained, never stored as views. No-op while observability
   /// is disabled. Called from the owning session's scoring thread only.
   /// Returns the model-health verdict for this interval (kOk when no monitor
   /// is attached or observability is off) so callers — the engine's

@@ -156,8 +156,8 @@ class FleetAggregator {
   /// Assemble the fleet-wide view (any thread).
   FleetSnapshot snapshot() const;
 
-  /// snapshot() rendered as JSON — bind to MonitorServer::set_fleet and
-  /// FlightRecorder::set_fleet.
+  /// snapshot() rendered as JSON — bind to MonitorServer::set_fleet and to
+  /// an armed IncidentStore's `== fleet ==` context section.
   std::string json() const { return fleet_json(snapshot()); }
 
  private:

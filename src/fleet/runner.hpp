@@ -62,8 +62,9 @@ class FleetRunner {
   bool done() const { return round_ >= spec_.intervals; }
   std::size_t rounds_completed() const { return round_; }
 
-  /// The /fleet JSON body — bind to MonitorServer::set_fleet /
-  /// FlightRecorder::set_fleet (safe to call concurrently with run_rounds).
+  /// The /fleet JSON body — bind to MonitorServer::set_fleet and to an
+  /// armed IncidentStore's context (safe to call concurrently with
+  /// run_rounds).
   std::string json() const { return aggregator_->json(); }
 
   /// Bench hook: false pumps and scores without touching the aggregator,

@@ -1,5 +1,6 @@
 #include "obs/build_info.hpp"
 
+#include "obs/export.hpp"
 #include "obs/prof.hpp"
 
 namespace mhm::obs {
@@ -39,15 +40,6 @@ BuildInfo make_build_info() {
   return info;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -73,16 +65,11 @@ std::string build_info_json() {
   const BuildInfo& info = build_info();
   std::string out;
   out.reserve(256);
-  out += "{\"git\":";
-  append_escaped(out, info.git);
-  out += ",\"compiler\":";
-  append_escaped(out, info.compiler);
-  out += ",\"simd\":";
-  append_escaped(out, info.simd);
-  out += ",\"obs_disabled\":";
-  out += info.obs_disabled ? "true" : "false";
-  out += ",\"counters\":";
-  append_escaped(out, prof::counter_source());
+  out += "{\"git\":\"" + json_escape(info.git) + "\",\"compiler\":\"" +
+         json_escape(info.compiler) + "\",\"simd\":\"" +
+         json_escape(info.simd) + "\",\"obs_disabled\":" +
+         (info.obs_disabled ? "true" : "false") + ",\"counters\":\"" +
+         json_escape(prof::counter_source()) + '"';
   out += "}";
   return out;
 }

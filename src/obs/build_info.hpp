@@ -5,9 +5,9 @@
 namespace mhm::obs {
 
 /// Build identification stamped on every artifact that leaves the process:
-/// the /version endpoint, `.mhmdump` flight-dump headers and `.mhmi`
-/// incident bundles all carry the same block, so a bundle examined offline
-/// names the exact build (and SIMD dispatch tier) that produced it.
+/// the /version endpoint and every `.mhmi` incident bundle carry the same
+/// block, so a bundle examined offline names the exact build (and SIMD
+/// dispatch tier) that produced it.
 struct BuildInfo {
   std::string git;       ///< `git describe` at configure time ("unknown" off-tree).
   std::string compiler;  ///< __VERSION__ of the compiler that built mhm_obs.
@@ -18,7 +18,7 @@ struct BuildInfo {
 const BuildInfo& build_info();
 
 /// Key-value text lines "<prefix>git <...>\n<prefix>compiler <...>\n..." —
-/// the header block shared by .mhmdump and .mhmi files.
+/// the `.mhmi` header block.
 std::string build_info_text(const std::string& prefix);
 
 /// One-line JSON object (the /version response body).

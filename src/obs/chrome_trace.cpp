@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/export.hpp"
+
 namespace mhm::obs {
 
 namespace {
@@ -15,15 +17,6 @@ std::string us_from_ns(std::uint64_t ns) {
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned>(ns % 1000));
   return buf;
-}
-
-std::string escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
-  return out;
 }
 
 }  // namespace
@@ -44,7 +37,7 @@ std::string chrome_trace_json(const SpanBuffer& buffer) {
   os << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
         "\"args\":{\"name\":\"mhm\"}}";
   for (const auto& s : spans) {
-    os << ",\n{\"name\":\"" << escape(s.name) << "\",\"cat\":\"mhm\","
+    os << ",\n{\"name\":\"" << json_escape(s.name) << "\",\"cat\":\"mhm\","
        << "\"ph\":\"X\",\"ts\":" << us_from_ns(s.start_ns - epoch)
        << ",\"dur\":" << us_from_ns(s.duration_ns) << ",\"pid\":1,\"tid\":"
        << s.thread_shard << ",\"args\":{\"id\":" << s.id

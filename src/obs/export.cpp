@@ -1,7 +1,9 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <sstream>
 
@@ -19,7 +21,14 @@ std::string prometheus_name(const std::string& dotted) {
   return out;
 }
 
-/// Shortest round-trip double formatting (%.17g trims via stream).
+/// JSON numbers may not be Inf/NaN; quote them.
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "\"" + fmt_double(v) + "\"";
+  return fmt_double(v);
+}
+
+}  // namespace
+
 std::string fmt_double(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
@@ -27,12 +36,6 @@ std::string fmt_double(double v) {
   os.precision(17);
   os << v;
   return os.str();
-}
-
-/// JSON numbers may not be Inf/NaN; quote them.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "\"" + fmt_double(v) + "\"";
-  return fmt_double(v);
 }
 
 std::string json_escape(const std::string& s) {
@@ -57,7 +60,17 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
+void append_fmt(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n),
+                                          sizeof buf - 1));
+  }
+}
 
 std::string prometheus_text(const Registry& registry) {
   std::ostringstream os;

@@ -11,6 +11,16 @@ namespace mhm::obs {
 /// Text exporters for the observability state. Schemas are documented in
 /// docs/FILE_FORMATS.md ("Observability exports").
 
+/// Shortest round-trip decimal of `v` (%.17g); "NaN", "+Inf", "-Inf".
+std::string fmt_double(double v);
+
+/// `s` escaped for a JSON string body (quotes, backslashes, control chars).
+std::string json_escape(const std::string& s);
+
+/// printf-append into `out`; one call renders at most 511 bytes. Appending
+/// into a reserved buffer keeps steady-state rendering allocation-free.
+void append_fmt(std::string& out, const char* fmt, ...);
+
 /// Prometheus text exposition format (version 0.0.4). Metric names are the
 /// registry's dotted names with dots mapped to underscores and an `mhm_`
 /// prefix ("pipeline.alarms" → "mhm_pipeline_alarms"). Histograms emit the

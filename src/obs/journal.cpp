@@ -1,9 +1,38 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace mhm::obs {
+
+void rank_cells_by_z(std::span<const double> raw, std::span<const double> mean,
+                     std::span<const double> stddev, std::size_t k,
+                     std::vector<CellContribution>& out) {
+  out.clear();
+  const std::size_t keep = std::min(k, raw.size());
+  if (keep == 0) return;
+  const auto z_of = [&](std::size_t i) {
+    return (raw[i] - mean[i]) / std::max(stddev[i], 1.0);
+  };
+  std::vector<std::size_t> order(raw.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(keep),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      const double za = std::abs(z_of(a));
+                      const double zb = std::abs(z_of(b));
+                      return za != zb ? za > zb : a < b;
+                    });
+  out.reserve(keep);
+  for (std::size_t r = 0; r < keep; ++r) {
+    const std::size_t i = order[r];
+    out.push_back(CellContribution{.cell = i,
+                                   .observed = raw[i],
+                                   .expected = mean[i],
+                                   .z_score = z_of(i)});
+  }
+}
 
 DecisionJournal::DecisionJournal(std::size_t capacity) : ring_(capacity) {}
 

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -27,6 +29,14 @@ struct CellContribution {
   double expected = 0.0;  ///< Training mean of the cell.
   double z_score = 0.0;   ///< (observed − expected) / std (std floored).
 };
+
+/// The `k` cells of `raw` with the largest |z| against a per-cell training
+/// baseline (|z| descending, ties to the lower index) into `out`. Cells are
+/// integer counts, so the spread is floored at one count: a never-touched
+/// training cell that lights up scores z = observed. O(L).
+void rank_cells_by_z(std::span<const double> raw, std::span<const double> mean,
+                     std::span<const double> stddev, std::size_t k,
+                     std::vector<CellContribution>& out);
 
 /// The full decision context of one analyzed interval.
 struct DecisionRecord {

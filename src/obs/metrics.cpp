@@ -22,13 +22,6 @@ std::atomic<bool>& enabled_flag() {
 
 namespace {
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// 0 = no analysis yet.
 std::atomic<std::uint64_t>& last_analysis_ns() {
   static std::atomic<std::uint64_t> ns{0};
@@ -187,24 +180,6 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
     out.push_back(std::move(snap));
   }
   return out;
-}
-
-void Registry::reset_values() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, entry] : metrics_) {
-    (void)name;
-    switch (entry.type) {
-      case MetricSnapshot::Type::kCounter:
-        entry.counter->reset();
-        break;
-      case MetricSnapshot::Type::kGauge:
-        entry.gauge->reset();
-        break;
-      case MetricSnapshot::Type::kHistogram:
-        entry.histogram->reset();
-        break;
-    }
-  }
 }
 
 }  // namespace mhm::obs

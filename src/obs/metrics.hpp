@@ -141,10 +141,6 @@ class Registry {
   /// folded in slot order.
   std::vector<MetricSnapshot> snapshot() const;
 
-  /// Zero every value. Handles stay valid (tests and benches isolate runs
-  /// without invalidating cached references).
-  void reset_values();
-
  private:
   struct Entry {
     MetricSnapshot::Type type;

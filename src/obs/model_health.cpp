@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
 namespace mhm::obs {
@@ -221,24 +222,12 @@ std::string json_num(double v) {
   return buf;
 }
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
 }  // namespace
 
 std::string model_health_json(const ModelHealthSnapshot& s) {
   std::string os;
   os.reserve(2048);
-  os += "{\"status\":";
-  os += json_str(to_string(s.status));
+  os += "{\"status\":\"" + json_escape(to_string(s.status)) + '"';
   os += ",\"intervals\":" + std::to_string(s.intervals);
   os += ",\"alarms\":" + std::to_string(s.alarms);
   os += ",\"alarm_rate\":" + json_num(s.alarm_rate);
@@ -287,9 +276,9 @@ std::string model_health_json(const ModelHealthSnapshot& s) {
     if (i > 0) os += ",";
     const auto& e = s.events[i];
     os += "{\"interval\":" + std::to_string(e.interval);
-    os += ",\"from\":" + json_str(to_string(e.from));
-    os += ",\"to\":" + json_str(to_string(e.to));
-    os += ",\"detail\":" + json_str(e.detail) + "}";
+    os += ",\"from\":\"" + json_escape(to_string(e.from)) +
+          "\",\"to\":\"" + json_escape(to_string(e.to)) +
+          "\",\"detail\":\"" + json_escape(e.detail) + "\"}";
   }
   os += "],\"recent_scores\":[";
   for (std::size_t i = 0; i < s.recent_scores.size(); ++i) {

@@ -30,7 +30,7 @@ namespace mhm::obs {
 ///
 /// The verdict is a three-state `model_health.status` gauge —
 /// OK / DRIFTING / MISCALIBRATED — exported through the registry, served as
-/// JSON by the /model route, embedded in flight-recorder dumps, and rendered
+/// JSON by the /model route, embedded in black-box bundles, and rendered
 /// live by `mhm_tool watch`. Like the rest of the obs layer the monitor
 /// never feeds back into detection, so the determinism guarantees of the
 /// pipeline are untouched; under MHM_OBS_DISABLE the monitor compiles down

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 
 /// Observability kill switches.
 ///
@@ -14,6 +16,15 @@
 /// MHM_OBS_DISABLE) pins `enabled()` to a constant false so the optimizer
 /// can delete the instrumentation entirely.
 namespace mhm::obs {
+
+/// steady_clock in nanoseconds: the one clock behind every obs timestamp,
+/// duration and rate limit.
+inline std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 #if defined(MHM_OBS_DISABLED)
 

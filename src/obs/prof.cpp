@@ -36,6 +36,7 @@ const char* stage_name(Stage stage) {
 #include <string>
 #include <thread>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -85,18 +86,11 @@ std::atomic<bool>& prof_flag() {
 // Tick source: raw TSC on x86-64 (≈8 ns a read, calibrated against
 // steady_clock at export time), steady_clock elsewhere.
 
-std::uint64_t monotonic_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 inline std::uint64_t read_ticks() {
 #if defined(__x86_64__)
   return __rdtsc();
 #else
-  return monotonic_ns();
+  return steady_ns();
 #endif
 }
 
@@ -106,7 +100,7 @@ struct TickBase {
   std::uint64_t ns0;
 };
 const TickBase& tick_base() {
-  static const TickBase base{read_ticks(), monotonic_ns()};
+  static const TickBase base{read_ticks(), steady_ns()};
   return base;
 }
 #endif
@@ -117,8 +111,8 @@ const TickBase& tick_base() {
 double ns_per_tick() {
 #if defined(__x86_64__)
   const TickBase& base = tick_base();
-  std::uint64_t ns = monotonic_ns();
-  while (ns - base.ns0 < 1000000) ns = monotonic_ns();
+  std::uint64_t ns = steady_ns();
+  while (ns - base.ns0 < 1000000) ns = steady_ns();
   const std::uint64_t ticks = read_ticks();
   if (ticks <= base.ticks0) return 1.0;
   return static_cast<double>(ns - base.ns0) /
@@ -325,18 +319,6 @@ void sampler_loop(double hz) {
 
 // ---------------------------------------------------------------------------
 // Export helpers.
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out.append(buf, std::min<std::size_t>(static_cast<std::size_t>(n),
-                                          sizeof buf - 1));
-  }
-}
 
 bool is_scoring_stage(std::size_t s) {
   const auto stage = static_cast<Stage>(s);

@@ -148,7 +148,7 @@ std::string profile_json();
 /// weighted in microseconds, so the format is always loadable.
 std::string collapsed_stacks();
 
-/// The `== profile ==` section body for flight dumps and .mhmi bundles.
+/// The `== profile ==` section body of .mhmi bundles.
 std::string dump_section();
 
 /// Publish prof.* gauges into the metrics registry (scrape-time push —

@@ -10,7 +10,6 @@
 #include "obs/build_info.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/incident.hpp"
 #include "obs/metrics.hpp"
@@ -58,13 +57,6 @@ bool MonitorServer::ensure_env_server() { return false; }
 
 namespace {
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Registry value by dotted name (0 when absent) — /status reads the few
 /// headline series out of one deterministic snapshot.
 double value_of(const std::vector<MetricSnapshot>& snap,
@@ -73,13 +65,6 @@ double value_of(const std::vector<MetricSnapshot>& snap,
     if (m.name == name) return m.value;
   }
   return 0.0;
-}
-
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 void send_all(int fd, const char* data, std::size_t len) {
@@ -462,10 +447,10 @@ void MonitorServer::Impl::respond(int fd, const std::string& target) {
     return;
   }
   if (path == "/flush") {
-    const std::string dumped = FlightRecorder::instance().dump("flush");
+    const std::string dumped = IncidentStore::flush_armed("flush");
     if (dumped.empty()) {
       send_response(fd, 503, "Service Unavailable", "text/plain",
-                    "flight recorder not armed\n");
+                    "no incident store armed\n");
       return;
     }
     send_response(fd, 200, "OK", "application/json",

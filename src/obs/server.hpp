@@ -40,7 +40,8 @@ class ScoreHistory;
 ///                     is flamegraph.pl / speedscope collapsed stacks
 ///   /version          build info JSON: git describe, compiler, SIMD tier,
 ///                     profiler counter source
-///   /flush            force a flight-recorder dump, returns its path
+///   /flush            commit a `reason flush` bundle through the armed
+///                     IncidentStore, returns its path (503 when unarmed)
 ///
 /// Malformed or out-of-range query parameters (?tail=, ?res=, ?from=,
 /// ?format=, a non-numeric incident id) answer 400 with a JSON error

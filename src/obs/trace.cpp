@@ -11,13 +11,6 @@ namespace mhm::obs {
 
 namespace {
 
-std::uint64_t monotonic_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::atomic<std::uint64_t> g_next_span_id{1};
 
 /// Innermost open span of the calling thread (0 = none).
@@ -84,7 +77,7 @@ SpanScope::SpanScope(const char* name) : name_(name) {
   parent_ = tl_current_span;
   tl_current_span = id_;
   pushed_ = prof::sampler_push_frame(name_);
-  start_ns_ = monotonic_ns();
+  start_ns_ = steady_ns();
 }
 
 SpanScope::~SpanScope() {
@@ -97,7 +90,7 @@ SpanScope::~SpanScope() {
   rec.name = name_;
   rec.thread_shard = thread_shard();
   rec.start_ns = start_ns_;
-  rec.duration_ns = monotonic_ns() - start_ns_;
+  rec.duration_ns = steady_ns() - start_ns_;
   // If observability was switched off while the span was open, drop it —
   // the invariant is "no records arrive while disabled".
   if (enabled()) SpanBuffer::instance().record(rec);

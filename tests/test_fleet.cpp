@@ -28,7 +28,7 @@
 #include "fleet/aggregator.hpp"
 #include "fleet/spec.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
+#include "obs/incident.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
 #include "obs/server.hpp"
@@ -373,25 +373,30 @@ TEST_F(FleetTest, ServerServesFleetRoute) {
   server.stop();
 }
 
-TEST_F(FleetTest, FlightRecorderDumpCarriesFleetSection) {
+TEST_F(FleetTest, ShutdownBundleCarriesFleetSection) {
   obs::set_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   FleetRunner runner = make_runner(small_spec());
   runner.run_all();
 
   const auto dir =
-      std::filesystem::temp_directory_path() / "mhm_fleet_dump_test";
+      std::filesystem::temp_directory_path() / "mhm_fleet_black_box_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  obs::FlightRecorder::Options opts;
+  obs::IncidentStore::Options opts;
   opts.dir = dir.string();
-  ASSERT_TRUE(obs::FlightRecorder::instance().arm(opts, nullptr));
-  obs::FlightRecorder::instance().set_fleet(
-      [&runner] { return runner.json(); });
-  const std::string path = obs::FlightRecorder::instance().dump("test");
-  obs::FlightRecorder::instance().disarm();
+  obs::IncidentStore store(opts);
+  ASSERT_TRUE(store.arm(
+      [&runner] { return "== fleet ==\n" + runner.json() + "\n"; }));
+  const std::string path = store.flush("shutdown");
+  store.disarm();
   ASSERT_FALSE(path.empty());
 
+  obs::IncidentBundle bundle;
+  std::string error;
+  ASSERT_TRUE(obs::parse_incident_file(path, &bundle, &error)) << error;
+  EXPECT_FALSE(bundle.truncated);
+  EXPECT_EQ(bundle.incident.reason, "shutdown");
   std::ifstream in(path);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());

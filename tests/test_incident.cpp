@@ -1,15 +1,27 @@
 // Incident black box (src/obs/incident): trigger logic, crash-safe bundle
-// commit + parse round trip, rate limiting, and the JSON surfaces.
+// commit + parse round trip, rate limiting, the JSON surfaces, and the
+// armed store's crash bundle.
 
 #include "obs/incident.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace mhm::obs {
 namespace {
@@ -166,10 +178,99 @@ TEST_F(IncidentTest, JsonSurfacesAndUnknownId) {
   EXPECT_NE(one->find("\"verdicts\":["), std::string::npos);
   EXPECT_NE(one->find("\"score_hex\":\""), std::string::npos);
   EXPECT_FALSE(store_->json_one(999).has_value());
+}
 
-  const std::string dump = store_->dump_section();
-  EXPECT_NE(dump.find("committed 1"), std::string::npos);
-  EXPECT_NE(dump.find("reason=alarm_burst"), std::string::npos);
+TEST_F(IncidentTest, UnknownSectionsAreSkipped) {
+  IncidentRecorder rec(small_options(), store_);
+  for (std::uint64_t i = 0; i < 5; ++i) feed(rec, i, false);
+  feed(rec, 5, true);
+  feed(rec, 6, true);
+  feed(rec, 7, false);
+  feed(rec, 8, false);
+  ASSERT_EQ(store_->total_committed(), 1u);
+
+  // A section this parser does not know, between rows and profile.
+  std::ifstream in(store_->summaries()[0].path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string body = text.str();
+  const std::size_t at = body.find("== profile ==");
+  ASSERT_NE(at, std::string::npos);
+  body.insert(at, "== metrics ==\nmhm_detector_alarms 2\n");
+  const std::string path = (dir_ / "with_metrics.mhmi").string();
+  std::ofstream(path) << body;
+
+  IncidentBundle bundle;
+  std::string error;
+  ASSERT_TRUE(parse_incident_file(path, &bundle, &error)) << error;
+  EXPECT_FALSE(bundle.truncated);
+  ASSERT_EQ(bundle.incident.window.size(), 5u);
+  for (const auto& e : bundle.incident.window) EXPECT_EQ(e.row.size(), 4u);
+}
+
+TEST_F(IncidentTest, FailedWriteReturnsEmptyAndKeepsNoSummary) {
+  // A file-size limit below the bundle size makes write(2) fail with EFBIG
+  // part-way through. Run in a child: the limit is process-wide.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const struct rlimit limit = {64, 64};
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+    Incident incident;
+    incident.reason = "alarm_burst";
+    incident.cells = 4;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      IncidentEntry e;
+      e.interval = i;
+      e.row.assign(4, 1.0);
+      incident.window.push_back(e);
+    }
+    const bool ok = store_->commit(std::move(incident)).empty() &&
+                    store_->summaries().empty() &&
+                    store_->total_committed() == 0;
+    ::_exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "commit reported success (or kept a summary) for a failed write";
+}
+
+TEST_F(IncidentTest, SignalLeavesCompleteCrashBundle) {
+#if defined(MHM_OBS_DISABLED)
+  GTEST_SKIP() << "obs layer compiled out: arm() is a no-op";
+#endif
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    IncidentRecorder rec(small_options(), store_);
+    feed(rec, 0, false);
+    if (!store_->arm()) ::_exit(77);
+    // Past one refresh period, the next interval re-renders the bundle.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    feed(rec, 1, false);
+    feed(rec, 2, false);
+    std::raise(SIGSEGV);
+    ::_exit(1);  // Unreachable: the handler re-raises with SIG_DFL.
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of crashing";
+  EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+
+  const std::string crash =
+      (dir_ / ("incident-crash-" + std::to_string(pid) + ".mhmi")).string();
+  IncidentBundle bundle;
+  std::string error;
+  ASSERT_TRUE(parse_incident_file(crash, &bundle, &error)) << error;
+  EXPECT_FALSE(bundle.truncated);
+  EXPECT_EQ(bundle.incident.reason, "crash");
+  // Refreshed at interval 1 (the first note past the period), not at arm().
+  EXPECT_EQ(bundle.incident.trigger_interval, 1u);
+  ASSERT_EQ(bundle.incident.window.size(), 2u);
+  EXPECT_EQ(bundle.incident.window.back().row.size(), 4u);
 }
 
 TEST_F(IncidentTest, NullStoreRunsTriggerLogicWithoutWriting) {

@@ -79,15 +79,17 @@
 //                    [--retrain-window N] [--retrain-sustain N]
 //                    [--retrain-cooldown N] [--retrain-min-window N]
 //                    [--mode-change-after S]
-//       Train a fast-scale detector, arm the flight recorder and the
-//       incident store (bundles land in --flight-dir), start the HTTP
+//       Train a fast-scale detector, arm the incident store as the
+//       process black box (bundles land in --flight-dir), start the HTTP
 //       monitoring endpoint on 127.0.0.1:P (0 = ephemeral, printed at
 //       startup) and replay N attack scenarios against it so /metrics,
 //       /status, /journal, /trace, /history and /incidents serve live
 //       data. --registry saves the trained model there first and stamps
 //       its version on every verdict and bundle (the handle `incidents
 //       replay` needs); --incident-gap shrinks the per-stream rate limit;
-//       --linger-ms keeps the endpoint up after the replays.
+//       --linger-ms keeps the endpoint up after the replays. A SIGSEGV or
+//       SIGABRT leaves incident-crash-<pid>.mhmi, GET /flush commits a
+//       `reason flush` bundle and exit a `reason shutdown` one.
 //       --auto-retrain 1 scores through an engine session with a
 //       drift-triggered retrain → validate → hot-swap loop (state under
 //       /model's "retrain" key; publishes annotate the journal and leave
@@ -115,7 +117,9 @@
 //       top-K anomaly ranking at GET /fleet (plus fleet_* metrics). With
 //       no --spec a default steady/bursty/attacked mix is used; --watch
 //       renders a live terminal dashboard; --linger-ms keeps the endpoint
-//       up after the run for external scrapers.
+//       up after the run for external scrapers. The run arms a black box in
+//       --flight-dir whose crash/flush/shutdown bundles carry the rollup as
+//       a `== fleet ==` section.
 //
 //   mhm_tool watch   --port P [--interval-ms I] [--iterations N] [--clear 0|1]
 //       Live model-health dashboard: poll GET /model on a serving process
@@ -129,10 +133,6 @@
 //       sorted by wall time (--top N keeps the N hottest stages);
 //       --format json prints the raw document, --format collapsed prints
 //       flamegraph.pl / speedscope collapsed stacks.
-//
-//   mhm_tool dump    --in file.mhmdump
-//       Pretty-print a flight-recorder dump: why and when it was written,
-//       headline metrics, journal alarms, and the captured heatmap row.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -140,6 +140,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -149,6 +150,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -169,7 +171,6 @@
 #include "hw/address_trace.hpp"
 #include "hw/memometer.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/incident.hpp"
 #include "obs/model_health.hpp"
 #include "obs/prof.hpp"
@@ -780,21 +781,38 @@ int cmd_serve(const Args& args) {
   }
   engine::Session session = engine.new_session(so);
 
-  obs::FlightRecorder::Options fr_opts;
-  fr_opts.dir = args.get("flight-dir", ".");
-  if (!obs::FlightRecorder::instance().arm(fr_opts, session.journal_ptr())) {
-    std::fprintf(stderr, "serve: cannot arm flight recorder in %s\n",
-                 fr_opts.dir.c_str());
-    return 1;
-  }
-
-  // Incident black box: bundles land next to the flight dumps.
+  // Incident black box: alarm-burst and health-transition bundles, plus a
+  // crash bundle kept ready for SIGSEGV/SIGABRT and the /flush and shutdown
+  // bundles. Those three carry the journal tail and model health as context
+  // sections. The provider also runs on the /flush thread, so it reads the
+  // monitor through `live_health`, which is re-pointed after a model publish.
+  std::atomic<std::shared_ptr<const obs::ModelHealthMonitor>> live_health{
+      session.model_health()};
   obs::IncidentStore::Options inc_opts;
-  inc_opts.dir = fr_opts.dir;
+  inc_opts.dir = args.get("flight-dir", ".");
   auto incidents = std::make_shared<obs::IncidentStore>(inc_opts);
   obs::IncidentOptions inc_trigger;
   inc_trigger.min_gap = args.get_u64("incident-gap", inc_trigger.min_gap);
   session.attach_incidents(inc_trigger, incidents);
+  const bool armed = incidents->arm([journal = session.journal_ptr(),
+                                     &live_health] {
+    const std::vector<obs::DecisionRecord> records = journal->snapshot();
+    const std::size_t tail = std::min<std::size_t>(64, records.size());
+    std::string out = "== journal tail=" + std::to_string(tail) + " ==\n";
+    for (std::size_t i = records.size() - tail; i < records.size(); ++i) {
+      out += obs::decision_json(records[i]) + "\n";
+    }
+    if (const auto monitor = live_health.load()) {
+      out += "== model_health ==\n" +
+             obs::model_health_json(monitor->snapshot()) + "\n";
+    }
+    return out;
+  });
+  if (!armed) {
+    std::fprintf(stderr, "serve: cannot arm the incident store in %s\n",
+                 inc_opts.dir.c_str());
+    return 1;
+  }
 
   obs::MonitorServer server;
   obs::MonitorServer::Options srv_opts;
@@ -802,16 +820,12 @@ int cmd_serve(const Args& args) {
   if (!server.start(srv_opts)) {
     std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%llu\n",
                  static_cast<unsigned long long>(args.get_u64("port", 0)));
-    obs::FlightRecorder::instance().disarm();
     return 1;
   }
   server.set_journal(session.journal_ptr());
   server.set_model_health(session.model_health());
   server.set_history(session.score_history());
   server.set_incidents(incidents);
-  obs::FlightRecorder::instance().set_model_health(session.model_health());
-  obs::FlightRecorder::instance().set_incidents(
-      [incidents] { return incidents->dump_section(); });
 
   // Retrain loop: drive the policy from the session's per-interval health
   // verdicts; on publish, annotate the journal, drop a synthetic incident
@@ -878,8 +892,8 @@ int cmd_serve(const Args& args) {
   std::uint64_t next_interval = 0;
   for (std::uint64_t s = 0; s < scenarios; ++s) {
     std::unique_ptr<attacks::AttackScenario> attack;
-    // Alternate normal / attacked replays: the journal and the flight
-    // recorder then hold both quiet intervals and alarms.
+    // Alternate normal / attacked replays: the journal and the black box
+    // then hold both quiet intervals and alarms.
     if (s % 2 == 1 && attack_name != "normal") {
       attack = attacks::make_scenario(attack_name);
     }
@@ -902,9 +916,9 @@ int cmd_serve(const Args& args) {
       alarms += session.analyze(m.as_vector(), next_interval++).anomalous;
     }
     // A publish rebinds the session's health monitor at the swap boundary;
-    // re-attach the live handle for /model and the recorder.
+    // re-attach the live handle for /model and the black box.
     server.set_model_health(session.model_health());
-    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    live_health.store(session.model_health());
     std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so far",
                 static_cast<unsigned long long>(s + 1),
                 static_cast<unsigned long long>(scenarios),
@@ -920,7 +934,7 @@ int cmd_serve(const Args& args) {
   if (manager != nullptr) {
     manager->drain();
     server.set_model_health(session.model_health());
-    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    live_health.store(session.model_health());
     std::printf("retrain loop: %llu published, %llu rejected, state %s, "
                 "serving model version %llu\n",
                 static_cast<unsigned long long>(manager->published()),
@@ -945,128 +959,14 @@ int cmd_serve(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }
 
-  const std::string final_dump =
-      obs::FlightRecorder::instance().dump("shutdown");
+  const std::string shutdown_bundle = incidents->flush("shutdown");
   obs::prof::stop_sampler();
   server.stop();
-  obs::FlightRecorder::instance().disarm();
-  std::printf("served %llu replays, %zu alarms; final dump: %s\n",
+  incidents->disarm();
+  std::printf("served %llu replays, %zu alarms; shutdown bundle: %s\n",
               static_cast<unsigned long long>(scenarios), alarms,
-              final_dump.empty() ? "(none)" : final_dump.c_str());
+              shutdown_bundle.empty() ? "(none)" : shutdown_bundle.c_str());
   return 0;
-}
-
-int cmd_dump(const Args& args) {
-  std::string in_path;
-  if (!args.require("in", &in_path)) {
-    std::fprintf(stderr, "dump: --in <file.mhmdump> is required\n");
-    return 1;
-  }
-  std::ifstream file(in_path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "dump: cannot open %s\n", in_path.c_str());
-    return 1;
-  }
-  std::string line;
-  if (!std::getline(file, line) || line != "MHMDUMP 1") {
-    std::fprintf(stderr, "dump: %s is not an MHMDUMP version 1 file\n",
-                 in_path.c_str());
-    return 1;
-  }
-  std::printf("flight-recorder dump: %s\n", in_path.c_str());
-
-  // Header key/value lines run until the first "== section ==" marker.
-  std::string section;
-  while (std::getline(file, line)) {
-    if (line.rfind("== ", 0) == 0) {
-      section = line;
-      break;
-    }
-    const auto space = line.find(' ');
-    if (space == std::string::npos) continue;
-    std::printf("  %-12s %s\n", line.substr(0, space).c_str(),
-                line.substr(space + 1).c_str());
-  }
-
-  // Walk the sections, summarizing each. Metric lines are Prometheus text,
-  // journal lines are one JSON record each, the heatmap is raw doubles.
-  std::size_t metric_lines = 0;
-  std::size_t journal_records = 0;
-  std::size_t journal_alarms = 0;
-  std::size_t trace_events = 0;
-  std::vector<std::string> headline;
-  std::vector<double> heat_row;
-  std::string heat_header;
-  bool saw_end = false;
-  while (!section.empty()) {
-    std::string next;
-    const bool in_metrics = section == "== metrics ==";
-    const bool in_journal = section.rfind("== journal", 0) == 0;
-    const bool in_trace = section == "== trace ==";
-    const bool in_heatmap = section.rfind("== heatmap", 0) == 0;
-    if (in_heatmap) heat_header = section;
-    if (section == "== end ==") saw_end = true;
-    while (std::getline(file, line)) {
-      if (line.rfind("== ", 0) == 0) {
-        next = line;
-        break;
-      }
-      if (in_metrics && !line.empty() && line[0] != '#') {
-        ++metric_lines;
-        // Surface the counters an operator asks about first.
-        for (const char* want :
-             {"mhm_detector_intervals_analyzed", "mhm_detector_alarms ",
-              "mhm_core_gmm_log_likelihood"}) {
-          if (line.rfind(want, 0) == 0) headline.push_back(line);
-        }
-      } else if (in_journal && !line.empty()) {
-        ++journal_records;
-        if (line.find("\"alarm\":true") != std::string::npos) {
-          ++journal_alarms;
-        }
-      } else if (in_trace) {
-        for (std::size_t pos = 0;
-             (pos = line.find("\"ph\":\"X\"", pos)) != std::string::npos;
-             pos += 8) {
-          ++trace_events;
-        }
-      } else if (in_heatmap && !line.empty()) {
-        std::istringstream is(line);
-        double v = 0.0;
-        while (is >> v) heat_row.push_back(v);
-      }
-    }
-    section = next;
-  }
-  if (!saw_end) {
-    std::fprintf(stderr, "dump: warning: missing '== end ==' marker — the "
-                         "dump may be truncated\n");
-  }
-
-  std::printf("  metrics      %zu series\n", metric_lines);
-  for (const auto& h : headline) std::printf("    %s\n", h.c_str());
-  std::printf("  journal      %zu records, %zu alarms\n", journal_records,
-              journal_alarms);
-  std::printf("  trace        %zu span events\n", trace_events);
-  if (!heat_row.empty()) {
-    double total = 0.0;
-    double peak = 0.0;
-    std::size_t peak_cell = 0;
-    for (std::size_t i = 0; i < heat_row.size(); ++i) {
-      total += heat_row[i];
-      if (heat_row[i] > peak) {
-        peak = heat_row[i];
-        peak_cell = i;
-      }
-    }
-    std::printf("  %s\n", heat_header.c_str());
-    std::printf("  heatmap      %zu cells, %.0f total accesses, hottest "
-                "cell %zu (%.0f)\n",
-                heat_row.size(), total, peak_cell, peak);
-  } else {
-    std::printf("  heatmap      (no interval captured before the dump)\n");
-  }
-  return saw_end ? 0 : 1;
 }
 
 // --- incidents: black-box bundle forensics ---------------------------------
@@ -1155,7 +1055,7 @@ int cmd_incidents_show(const Args& args) {
     for (const auto& c : inc.top_cells) {
       std::printf("    cell %4zu: observed %12.0f, expected %12.1f, "
                   "z %+8.1f\n",
-                  c.cell, c.observed, c.expected, c.z);
+                  c.cell, c.observed, c.expected, c.z_score);
     }
   }
   std::printf("  %-9s %12s %12s %5s %7s  %s\n", "interval", "score", "spe",
@@ -1620,10 +1520,13 @@ int cmd_fleet(const Args& args) {
   fleet::FleetRunner runner(std::move(spec), cfg, pipe.detector->snapshot());
   const fleet::FleetSpec& fs = runner.spec();
 
-  // Serve /fleet while the run is live (and arm the recorder so any dump
-  // carries the `== fleet ==` section). Both optional: the run itself works
-  // with observability disabled.
+  // Serve /fleet while the run is live, and arm a black box whose crash,
+  // /flush and shutdown bundles carry the `== fleet ==` section. Both
+  // optional: the run itself works with observability disabled.
   obs::MonitorServer server;
+  obs::IncidentStore::Options bb_opts;
+  bb_opts.dir = args.get("flight-dir", ".");
+  obs::IncidentStore black_box(bb_opts);
   bool armed = false;
   if (obs::enabled()) {
     obs::MonitorServer::Options srv_opts;
@@ -1634,13 +1537,8 @@ int cmd_fleet(const Args& args) {
       return 1;
     }
     server.set_fleet([&runner] { return runner.json(); });
-    obs::FlightRecorder::Options fr_opts;
-    fr_opts.dir = args.get("flight-dir", ".");
-    armed = obs::FlightRecorder::instance().arm(fr_opts, nullptr);
-    if (armed) {
-      obs::FlightRecorder::instance().set_fleet(
-          [&runner] { return runner.json(); });
-    }
+    armed = black_box.arm(
+        [&runner] { return "== fleet ==\n" + runner.json() + "\n"; });
     std::printf("serving http://127.0.0.1:%u (fleet, metrics, healthz, "
                 "status, flush)\n",
                 static_cast<unsigned>(server.port()));
@@ -1672,9 +1570,9 @@ int cmd_fleet(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }
   if (armed) {
-    const std::string dump = obs::FlightRecorder::instance().dump("shutdown");
-    obs::FlightRecorder::instance().disarm();
-    if (!dump.empty()) std::printf("final dump: %s\n", dump.c_str());
+    const std::string bundle = black_box.flush("shutdown");
+    black_box.disarm();
+    if (!bundle.empty()) std::printf("shutdown bundle: %s\n", bundle.c_str());
   }
   server.stop();
   std::printf("fleet run complete: %llu intervals, %llu alarms\n",
@@ -1686,7 +1584,7 @@ int cmd_fleet(const Args& args) {
 void usage() {
   std::fprintf(stderr,
                "usage: mhm_tool <train|record|ingest|inspect|monitor|replay"
-               "|retrain|simulate|metrics|journal|serve|watch|prof|fleet|dump"
+               "|retrain|simulate|metrics|journal|serve|watch|prof|fleet"
                "|incidents> [--flag value]...\n"
                "       mhm_tool retrain --trace <trace.mhmt> "
                "--registry <dir>\n"
@@ -1739,63 +1637,39 @@ int main(int argc, char** argv) {
     if (cmd == "watch") return cmd_watch(args);
     if (cmd == "prof") return cmd_prof(args);
     if (cmd == "fleet") return cmd_fleet(args);
-    if (cmd == "dump") return cmd_dump(args);
     if (cmd == "selftest-crash") {
-      // Hidden hook for the crash-dump CLI test: arm the recorder exactly
-      // like `serve` does, then die by SIGSEGV. The test asserts the
-      // handler left a parseable .mhmdump behind.
-      obs::FlightRecorder::Options fr_opts;
-      fr_opts.dir = args.get("flight-dir", ".");
-      if (!obs::FlightRecorder::instance().arm(fr_opts, nullptr)) {
+      // Hidden hook for the crash CLI test: arm a store the way `serve`
+      // does, with a recorder holding a few intervals; write only the first
+      // half of one bundle (the cut a crash mid-write() leaves); then die by
+      // SIGSEGV. The test asserts the partial bundle parses as truncated and
+      // the handler left a complete `reason crash` bundle.
+      obs::IncidentStore::Options opts;
+      opts.dir = args.get("dir", ".");
+      auto store = std::make_shared<obs::IncidentStore>(opts);
+      obs::IncidentRecorder recorder(obs::IncidentOptions{}, store);
+      for (std::uint64_t i = 40; i <= 44; ++i) {
+        const std::vector<double> row(8, static_cast<double>(i));
+        recorder.note(i, -10.0 - static_cast<double>(i) / 3.0,
+                      0.5 * static_cast<double>(i), i >= 42, 1, 7, -12.5, 0,
+                      row, {}, {});
+      }
+      if (!store->arm()) {
         std::fprintf(stderr, "selftest-crash: cannot arm (obs compiled "
                              "out?); nothing to test\n");
         return 77;  // Conventional "skipped" exit code.
       }
-      std::printf("crash file: %s\n",
-                  obs::FlightRecorder::instance().crash_file().c_str());
-      std::fflush(stdout);
-      std::raise(SIGSEGV);
-      return 1;  // Unreachable: the re-raised signal kills the process.
-    }
-    if (cmd == "selftest-incident-crash") {
-      // Hidden hook for the incident crash-safety CLI test: render a
-      // synthetic incident but write only the first half of the bundle —
-      // the same cut a crash mid-write() produces — then die by SIGSEGV.
-      // The test asserts the partial file still parses (as truncated).
-      obs::IncidentStore::Options opts;
-      opts.dir = args.get("dir", ".");
-      obs::IncidentStore store(opts);
-      obs::Incident incident;
-      incident.reason = "alarm_burst";
-      incident.detail = "selftest";
-      incident.trigger_interval = 42;
-      incident.model_version = 7;
-      incident.threshold = -12.5;
-      incident.cells = 8;
-      incident.pre = 2;
-      incident.post = 2;
-      for (std::uint64_t i = 40; i <= 44; ++i) {
-        obs::IncidentEntry e;
-        e.interval = i;
-        e.score = -10.0 - static_cast<double>(i) / 3.0;
-        e.spe = 0.5 * static_cast<double>(i);
-        e.alarm = i >= 42;
-        e.nearest_pattern = 1;
-        e.model_version = 7;
-        e.row.assign(8, static_cast<double>(i));
-        incident.window.push_back(std::move(e));
-      }
-      const std::string path = store.debug_commit_partial(std::move(incident));
+      obs::Incident partial = recorder.context();
+      partial.reason = "alarm_burst";
+      const std::string path = store->debug_commit_partial(std::move(partial));
       if (path.empty()) {
-        std::fprintf(stderr,
-                     "selftest-incident-crash: cannot write bundle in %s\n",
+        std::fprintf(stderr, "selftest-crash: cannot write bundle in %s\n",
                      opts.dir.c_str());
         return 1;
       }
       std::printf("incident file: %s\n", path.c_str());
       std::fflush(stdout);
       std::raise(SIGSEGV);
-      return 1;  // Unreachable.
+      return 1;  // Unreachable: the re-raised signal kills the process.
     }
     usage();
     return 1;
