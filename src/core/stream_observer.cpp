@@ -40,19 +40,9 @@ std::shared_ptr<obs::ModelHealthMonitor> build_health(
   // θ_p was calibrated from — persisted by model_io, so assembled models
   // get a monitor too. No re-scoring anywhere.
   if (!options.attach_health) return nullptr;
-  obs::ModelHealthOptions mh = obs::ModelHealthOptions::from_env();
-  if (!mh.attach) return nullptr;
+  obs::ModelHealthOptions mh;
   mh.expected_p = snapshot.primary.p;
-  // Per-session sizing overrides (the fleet preset): kFromEnv keeps the
-  // environment/global default, anything else replaces it.
-  constexpr std::size_t kFromEnv = StreamObserver::Options::kFromEnv;
-  if (options.health_history != kFromEnv) mh.history = options.health_history;
-  if (options.health_row_stride != kFromEnv) {
-    mh.row_stride = options.health_row_stride;
-  }
-  if (options.health_max_events != kFromEnv) {
-    mh.max_events = options.health_max_events;
-  }
+  mh.max_events = options.health_max_events;
   std::vector<double> weights;
   weights.reserve(snapshot.gmm.component_count());
   for (const auto& c : snapshot.gmm.components()) weights.push_back(c.weight);
@@ -86,20 +76,16 @@ StreamObserver::StreamObserver(const ModelSnapshot& snapshot,
     pm.alarms = &registry.counter(
         "detector.alarms_by_phase." + suffix,
         "alarms raised at hyperperiod phase " + suffix);
-    pm.rate = &registry.gauge(
-        "detector.alarm_rate_by_phase." + suffix,
-        "alarms / intervals at hyperperiod phase " + suffix);
     phase_metrics_.push_back(pm);
   }
-  health_ = build_health(snapshot, options_);
   if (options_.history_raw > 0) {
     obs::HistoryOptions ho;
     ho.raw_capacity = options_.history_raw;
     ho.bin_capacity = options_.history_bins;
-    ho.fold = options_.history_fold;
     ho.tiers = options_.history_tiers;
     history_ = std::make_shared<obs::ScoreHistory>(ho);
   }
+  rebind(snapshot);
 }
 
 void StreamObserver::rebind(const ModelSnapshot& snapshot) {
@@ -107,6 +93,7 @@ void StreamObserver::rebind(const ModelSnapshot& snapshot) {
   // history and the incident recorder deliberately span the swap — the
   // model_version column records where the transition happened.
   health_ = build_health(snapshot, options_);
+  if (health_ != nullptr) health_->attach_views(history_, incidents_);
 }
 
 void StreamObserver::annotate_next(std::string note) {
@@ -122,6 +109,7 @@ void StreamObserver::attach_incidents(
                    ? std::make_shared<obs::IncidentRecorder>(options,
                                                              std::move(store))
                    : nullptr;
+  if (health_ != nullptr) health_->attach_views(history_, incidents_);
 }
 
 obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
@@ -135,16 +123,15 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
   if (verdict.anomalous) m.alarms.add();
   m.analysis_ns.observe(static_cast<double>(verdict.analysis_time.count()));
 
-  // Hyperperiod-phase-bucketed alarm telemetry: one counter add and one
-  // gauge store per interval, cached handles only.
+  // Hyperperiod-phase-bucketed alarm telemetry: one or two counter adds
+  // per interval, cached handles only. The per-phase alarm rate is
+  // alarms_by_phase / intervals_by_phase, derived by the reader.
   const std::size_t phase =
       static_cast<std::size_t>(verdict.interval_index % phases_);
   if (phase < phase_metrics_.size()) {
     const PhaseMetrics& pm = phase_metrics_[phase];
     pm.intervals->add();
     if (verdict.anomalous) pm.alarms->add();
-    pm.rate->set(static_cast<double>(pm.alarms->value()) /
-                 static_cast<double>(pm.intervals->value()));
   }
 
   // Model-health monitor: consumes the score/SPE/pattern the scoring call
@@ -155,7 +142,7 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
   if (health_ != nullptr) {
     status = health_->observe(verdict.log10_density, verdict.spe,
                               verdict.nearest_pattern, verdict.anomalous,
-                              verdict.interval_index, raw);
+                              verdict.interval_index);
   }
 
   if (history_ != nullptr) {

@@ -14,7 +14,6 @@
 
 namespace mhm::obs {
 class Counter;
-class Gauge;
 class Histogram;
 enum class ModelHealthStatus;
 class ModelHealthMonitor;
@@ -30,33 +29,22 @@ namespace mhm {
 /// process-global detector.
 ///
 /// The journal and the health monitor are per-observer (per-stream); the
-/// counters and gauges resolve through the process-wide Registry by name,
-/// so concurrent streams aggregate into the same /metrics series.
+/// counters resolve through the process-wide Registry by name, so
+/// concurrent streams aggregate into the same /metrics series.
 class StreamObserver {
  public:
   struct Options {
-    /// "Keep the environment/global default" sentinel for the model-health
-    /// sizing overrides below.
-    static constexpr std::size_t kFromEnv = static_cast<std::size_t>(-1);
-
     /// Decision-journal ring capacity (0 keeps the journal default).
     std::size_t journal_capacity = 0;
     /// Modulus for the journal's hyperperiod-phase label. The phase metric
     /// handles are registered once, here, under this final count — never
-    /// re-keyed — so no stale per-phase gauges are left in the registry.
+    /// re-keyed — so no stale per-phase counters are left in the registry.
     std::size_t phases = 10;
     /// Cells ranked by |z| against the training baseline in each alarm's
     /// journal record (0 disables the per-alarm explanation).
     std::size_t top_cells = 8;
-    /// Per-session model-health sketch sizing (fleet preset): a lone
-    /// monitored stream can afford the full dashboard buffers; 10k fleet
-    /// sessions cannot. kFromEnv keeps ModelHealthOptions::from_env();
-    /// explicit values override just that knob. history is the recent-score
-    /// ring (0 = none), row_stride the raw-row copy cadence (0 = never
-    /// copy), max_events the transition log (0 = none).
-    std::size_t health_history = kFromEnv;
-    std::size_t health_row_stride = kFromEnv;
-    std::size_t health_max_events = kFromEnv;
+    /// Model-health status-transition log depth (0 = none).
+    std::size_t health_max_events = 32;
     /// False skips the per-session ModelHealthMonitor entirely (drift /
     /// calibration state is then someone else's job — e.g. the fleet
     /// aggregator's rollup of a sampled subset).
@@ -64,15 +52,16 @@ class StreamObserver {
     /// Multi-resolution score history ring (obs/history): raw last-N ring
     /// plus min/mean/max folded tiers. history_raw = 0 skips the history
     /// entirely; the fleet preset shrinks it to fit the session budget.
+    /// The raw ring is also the model-health sparkline (`recent_scores`).
+    /// Every tier folds 8 finer entries (HistoryOptions' default).
     std::size_t history_raw = 256;
     std::size_t history_bins = 128;
-    std::size_t history_fold = 8;
     std::size_t history_tiers = 2;
   };
 
-  /// Builds the phase handle cache and (unless MHM_DRIFT_DISABLE=1) a
+  /// Builds the phase handle cache and (unless attach_health is false) a
   /// ModelHealthMonitor seeded from the snapshot's validation scores and
-  /// mixture weights.
+  /// mixture weights, viewing this stream's score history.
   StreamObserver(const ModelSnapshot& snapshot, const Options& options);
 
   /// Record one scored interval: process + per-phase metrics, model-health
@@ -92,7 +81,8 @@ class StreamObserver {
 
   /// Rebuild the model-health monitor against a new snapshot (hot model
   /// swap): the health baseline always belongs to the model being scored
-  /// with. The journal and phase handles are untouched.
+  /// with. The journal, phase handles, score history and incident recorder
+  /// are untouched; the new monitor views the same history and recorder.
   void rebind(const ModelSnapshot& snapshot);
 
   obs::DecisionJournal& journal() const { return *journal_; }
@@ -112,6 +102,7 @@ class StreamObserver {
   /// Attach the incident black box: the recorder watches this stream's
   /// verdict/health sequence and commits `.mhmi` bundles into `store` on an
   /// alarm burst or an OK→degraded health transition. Null store detaches.
+  /// The model-health monitor's heat row views the recorder's newest row.
   void attach_incidents(const obs::IncidentOptions& options,
                         std::shared_ptr<obs::IncidentStore> store);
   std::shared_ptr<obs::IncidentRecorder> incident_recorder() const {
@@ -133,18 +124,17 @@ class StreamObserver {
 
  private:
   /// Registry handles for one hyperperiod phase bucket: drift confined to
-  /// one phase of the schedule shows up as that phase's alarm rate
-  /// diverging in /metrics.
+  /// one phase of the schedule shows up as that phase's alarms / intervals
+  /// ratio diverging in /metrics.
   struct PhaseMetrics {
     obs::Counter* intervals = nullptr;
     obs::Counter* alarms = nullptr;
-    obs::Gauge* rate = nullptr;
   };
 
   std::shared_ptr<obs::DecisionJournal> journal_;
   std::size_t phases_ = 10;
   std::size_t top_cells_ = 8;
-  Options options_;  ///< Kept so rebind() re-applies the health overrides.
+  Options options_;  ///< Kept so rebind() re-applies the health options.
   std::vector<PhaseMetrics> phase_metrics_;
   std::shared_ptr<obs::ModelHealthMonitor> health_;
   std::shared_ptr<obs::ScoreHistory> history_;

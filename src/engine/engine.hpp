@@ -36,21 +36,18 @@ struct SessionOptions : StreamObserver::Options {
   /// default; only retrain-enabled deployments pay the capacity × L bound.
   std::size_t clean_window_capacity = 0;
 
-  /// Memory-bounded defaults for fleet-scale sessions: a short journal, no
-  /// sparkline history, no raw-row copies, a handful of transition events,
-  /// no per-alarm cell explanations, a shrunken score-history ring. ~KBs
+  /// Memory-bounded defaults for fleet-scale sessions: a short journal, a
+  /// handful of transition events, no per-alarm cell explanations, a
+  /// shrunken score-history ring (which is also the health sparkline). ~KBs
   /// per session instead of ~100s of KBs; the knobs are documented in
   /// docs/OBSERVABILITY.md.
   static SessionOptions fleet_preset() {
     SessionOptions o;
     o.journal_capacity = 32;
     o.top_cells = 0;
-    o.health_history = 0;
-    o.health_row_stride = 0;
     o.health_max_events = 4;
     o.history_raw = 32;
     o.history_bins = 16;
-    o.history_fold = 8;
     o.history_tiers = 1;
     return o;
   }

@@ -149,8 +149,6 @@ FleetRunner::FleetRunner(FleetSpec spec,
   engine::SessionOptions session_options =
       engine::SessionOptions::fleet_preset();
   session_options.journal_capacity = spec_.journal_capacity;
-  session_options.health_history = spec_.health_history;
-  session_options.health_row_stride = spec_.health_row_stride;
   session_options.health_max_events = spec_.health_max_events;
   sessions_.reserve(spec_.devices);
   for (std::size_t d = 0; d < spec_.devices; ++d) {

@@ -131,11 +131,6 @@ FleetSpec FleetSpec::parse(std::istream& in) {
       spec.incident_window = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "journal_capacity") {
       spec.journal_capacity = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "health_history") {
-      spec.health_history = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "health_row_stride") {
-      spec.health_row_stride =
-          static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "health_max_events") {
       spec.health_max_events =
           static_cast<std::size_t>(parse_u64(key, value));

@@ -62,8 +62,6 @@ struct FleetSpec {
 
   // --- per-session observability bounds (the fleet preset) ---
   std::size_t journal_capacity = 32;
-  std::size_t health_history = 0;
-  std::size_t health_row_stride = 0;
   std::size_t health_max_events = 4;
 
   /// Resident-memory budget per session, enforced by bench/fleet (exit

@@ -105,6 +105,13 @@ std::string prometheus_text(const Registry& registry) {
   return os.str();
 }
 
+void append_prometheus_gauge(std::string& out, const std::string& name,
+                             const std::string& help, double value) {
+  const std::string prom = prometheus_name(name);
+  out += "# HELP " + prom + " " + help + "\n# TYPE " + prom + " gauge\n" +
+         prom + " " + fmt_double(value) + "\n";
+}
+
 std::string metrics_json_lines(const Registry& registry) {
   std::ostringstream os;
   for (const auto& m : registry.snapshot()) {

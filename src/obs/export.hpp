@@ -27,6 +27,11 @@ void append_fmt(std::string& out, const char* fmt, ...);
 /// conventional `_bucket{le=...}` / `_sum` / `_count` series.
 std::string prometheus_text(const Registry& registry = Registry::instance());
 
+/// One gauge in the same format — HELP, TYPE and sample line for the dotted
+/// `name` — for series rendered at scrape time outside the registry.
+void append_prometheus_gauge(std::string& out, const std::string& name,
+                             const std::string& help, double value);
+
 /// One JSON object per line, one line per metric.
 std::string metrics_json_lines(
     const Registry& registry = Registry::instance());

@@ -101,16 +101,16 @@ IncidentStore::~IncidentStore() { disarm(); }
 
 std::string IncidentStore::commit(Incident incident) {
   std::lock_guard<std::mutex> lock(mu_);
-  return commit_locked(incident, /*partial=*/false, /*with_context=*/false);
+  return commit_locked(incident, /*partial=*/false, /*context=*/nullptr);
 }
 
 std::string IncidentStore::debug_commit_partial(Incident incident) {
   std::lock_guard<std::mutex> lock(mu_);
-  return commit_locked(incident, /*partial=*/true, /*with_context=*/false);
+  return commit_locked(incident, /*partial=*/true, /*context=*/nullptr);
 }
 
 void IncidentStore::render_locked(const Incident& incident,
-                                  bool with_context) {
+                                  const std::string* context) {
   // Prerender the whole bundle, `== end ==` last. The on-disk state is then
   // always one of: absent, truncated (missing end marker), or complete.
   buffer_.clear();
@@ -152,24 +152,24 @@ void IncidentStore::render_locked(const Incident& incident,
   // the parser skips it, and every section after it.
   buffer_ += "== profile ==\n";
   buffer_ += prof::dump_section();
-  if (with_context) {
+  if (context != nullptr) {
     buffer_ += "== metrics ==\n";
     buffer_ += prometheus_text();
     buffer_ += "== trace ==\n";
     buffer_ += chrome_trace_json();
-    if (context_) buffer_ += context_();
+    buffer_ += *context;
   }
   buffer_ += "== end ==\n";
 }
 
 std::string IncidentStore::commit_locked(Incident& incident, bool partial,
-                                         bool with_context) {
+                                         const std::string* context) {
   incident.id = next_id_++;
   char name[64];
   std::snprintf(name, sizeof name, "/incident-%06llu.mhmi",
                 static_cast<unsigned long long>(incident.id));
   incident.path = options_.dir + name;
-  render_locked(incident, with_context);
+  render_locked(incident, context);
 
   const std::size_t write_len = partial ? buffer_.size() / 2 : buffer_.size();
   const int fd = ::open(incident.path.c_str(),
@@ -260,8 +260,9 @@ std::string IncidentStore::flush(const std::string& reason) {
   if (!armed()) return "";
   Incident incident = source_context();
   incident.reason = reason;
+  const std::string context = render_context();
   std::lock_guard<std::mutex> lock(mu_);
-  return commit_locked(incident, /*partial=*/false, /*with_context=*/true);
+  return commit_locked(incident, /*partial=*/false, &context);
 }
 
 std::string IncidentStore::flush_armed(const std::string& reason) {
@@ -293,11 +294,21 @@ bool IncidentStore::refresh_due() {
                                                   std::memory_order_relaxed);
 }
 
+std::string IncidentStore::render_context() {
+  std::function<std::string()> provider;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    provider = context_;
+  }
+  return provider ? provider() : std::string();
+}
+
 void IncidentStore::refresh_crash(Incident context) {
+  const std::string sections = render_context();
   std::lock_guard<std::mutex> lock(mu_);
   if (!armed()) return;
   context.reason = "crash";
-  render_locked(context, /*with_context=*/true);
+  render_locked(context, &sections);
   // The handler only reads the published buffer; this one may reallocate.
   const int idx = g_published.load(std::memory_order_relaxed) == 0 ? 1 : 0;
   g_snapshot[idx].assign(buffer_.begin(), buffer_.end());
@@ -393,7 +404,7 @@ void IncidentRecorder::note(std::uint64_t interval, double score, double spe,
                             std::uint8_t status, std::span<const double> raw,
                             std::span<const double> baseline_mean,
                             std::span<const double> baseline_stddev) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   threshold_ = threshold;
   cells_ = raw.size();
   IncidentEntry& slot = ring_[ring_head_];
@@ -460,13 +471,24 @@ void IncidentRecorder::note(std::uint64_t interval, double score, double spe,
   has_prev_status_ = true;
 
   // Black box: keep the armed store's crash bundle at most one refresh
-  // period behind this stream. One relaxed load while unarmed.
-  if (store_ && store_->refresh_due()) store_->refresh_crash(context_locked());
+  // period behind this stream. One relaxed load while unarmed. The refresh
+  // renders context sections that may read this recorder, so it runs
+  // after the lock is released.
+  if (store_ && store_->refresh_due()) {
+    Incident context = context_locked();
+    lock.unlock();
+    store_->refresh_crash(std::move(context));
+  }
 }
 
 Incident IncidentRecorder::context() const {
   std::lock_guard<std::mutex> lock(mu_);
   return context_locked();
+}
+
+IncidentEntry IncidentRecorder::newest() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ring_[(ring_head_ + ring_.size() - 1) % ring_.size()];
 }
 
 Incident IncidentRecorder::context_locked() const {

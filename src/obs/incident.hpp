@@ -124,10 +124,11 @@ class IncidentStore {
   /// armed, IncidentRecorder::note re-renders that bundle at most every
   /// 250 ms from its pre-window. `context` (may be empty) renders extra
   /// `== name ==` sections (journal tail, model health, fleet) for crash,
-  /// flush and shutdown bundles; it runs under the store's lock on the
-  /// scoring thread and on flush()'s caller, so it must be thread-safe and
-  /// must not call back into the store. False when a store is already
-  /// armed, the crash file cannot be created, or obs is compiled out.
+  /// flush and shutdown bundles; it runs on the scoring thread and on
+  /// flush()'s caller, holding neither the store's nor a recorder's lock
+  /// (it may read a recorder, as the model-health heat row does), so it
+  /// must be thread-safe. False when a store is already armed, the crash
+  /// file cannot be created, or obs is compiled out.
   bool arm(std::function<std::string()> context = {});
 
   /// Restore the previous signal handlers, close the crash file and remove
@@ -152,10 +153,14 @@ class IncidentStore {
  private:
   friend class IncidentRecorder;
 
-  /// Render `incident` into buffer_ (context sections when `with_context`).
-  void render_locked(const Incident& incident, bool with_context);
+  /// Render `incident` into buffer_; with `context` (render_context()'s
+  /// output), the context sections too.
+  void render_locked(const Incident& incident, const std::string* context);
   std::string commit_locked(Incident& incident, bool partial,
-                            bool with_context);
+                            const std::string* context);
+  /// The context provider's sections. Called without mu_ held: the
+  /// provider may lock a recorder that is committing into this store.
+  std::string render_context();
   /// The newest recorder is the one context bundles read the window from.
   void attach_source(const IncidentRecorder* recorder);
   void detach_source(const IncidentRecorder* recorder);
@@ -211,6 +216,10 @@ class IncidentRecorder {
   /// The retained pre-window as a context incident (no reason, no top
   /// cells): the newest interval is the trigger, `post` is 0.
   Incident context() const;
+
+  /// The newest noted interval; its row is empty unless rows are captured
+  /// (a default entry before the first note).
+  IncidentEntry newest() const;
 
  private:
   Incident context_locked() const;

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "obs/export.hpp"
+#include "obs/history.hpp"
+#include "obs/incident.hpp"
 #include "obs/metrics.hpp"
 
 namespace mhm::obs {
@@ -107,12 +108,6 @@ bool CusumDetector::add(double z) {
   return newly;
 }
 
-void CusumDetector::reset() {
-  s_pos_ = 0.0;
-  s_neg_ = 0.0;
-  fired_ = false;
-}
-
 bool PageHinkleyDetector::add(double z) {
   ++n_;
   mean_ += (z - mean_) / static_cast<double>(n_);
@@ -128,14 +123,6 @@ bool PageHinkleyDetector::add(double z) {
 
 double PageHinkleyDetector::statistic() const {
   return std::max(m_up_ - min_up_, m_dn_ - min_dn_);
-}
-
-void PageHinkleyDetector::reset() {
-  n_ = 0;
-  mean_ = 0.0;
-  m_up_ = m_dn_ = 0.0;
-  min_up_ = min_dn_ = 0.0;
-  fired_ = false;
 }
 
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
@@ -162,48 +149,6 @@ const char* to_string(ModelHealthStatus status) {
       return "MISCALIBRATED";
   }
   return "OK";
-}
-
-namespace {
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !std::isfinite(parsed)) return fallback;
-  return parsed;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return parsed;
-}
-
-}  // namespace
-
-ModelHealthOptions ModelHealthOptions::from_env() {
-  ModelHealthOptions o;
-  o.cusum_k = env_double("MHM_DRIFT_CUSUM_K", o.cusum_k);
-  o.cusum_h = env_double("MHM_DRIFT_CUSUM_H", o.cusum_h);
-  o.ph_delta = env_double("MHM_DRIFT_PH_DELTA", o.ph_delta);
-  o.ph_lambda = env_double("MHM_DRIFT_PH_LAMBDA", o.ph_lambda);
-  o.wilson_z = env_double("MHM_DRIFT_WILSON_Z", o.wilson_z);
-  o.min_intervals = env_u64("MHM_DRIFT_MIN_INTERVALS", o.min_intervals);
-  o.warmup = env_u64("MHM_DRIFT_WARMUP", o.warmup);
-  o.z_clamp = env_double("MHM_DRIFT_Z_CLAMP", o.z_clamp);
-  o.history = static_cast<std::size_t>(
-      env_u64("MHM_DRIFT_HISTORY", o.history));
-  o.row_stride = static_cast<std::size_t>(
-      env_u64("MHM_DRIFT_ROW_STRIDE", o.row_stride));
-  o.max_events = static_cast<std::size_t>(
-      env_u64("MHM_DRIFT_MAX_EVENTS", o.max_events));
-  o.attach = env_u64("MHM_DRIFT_DISABLE", 0) == 0;
-  return o;
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +240,49 @@ std::string model_health_json(const ModelHealthSnapshot& s) {
   return os;
 }
 
+std::string model_health_prometheus(const ModelHealthSnapshot& s) {
+  std::string os;
+  append_prometheus_gauge(os, "model_health.status",
+                          "0 OK, 1 DRIFTING, 2 MISCALIBRATED",
+                          static_cast<double>(static_cast<int>(s.status)));
+  append_prometheus_gauge(os, "model_health.alarm_rate",
+                          "empirical alarm fraction of the live run",
+                          s.alarm_rate);
+  append_prometheus_gauge(os, "model_health.wilson_low",
+                          "lower Wilson bound on the alarm rate",
+                          s.wilson.low);
+  append_prometheus_gauge(os, "model_health.wilson_high",
+                          "upper Wilson bound on the alarm rate",
+                          s.wilson.high);
+  append_prometheus_gauge(os, "model_health.cusum_pos",
+                          "CUSUM upper sum on the standardized score",
+                          s.cusum_pos);
+  append_prometheus_gauge(os, "model_health.cusum_neg",
+                          "CUSUM lower sum on the standardized score",
+                          s.cusum_neg);
+  append_prometheus_gauge(os, "model_health.page_hinkley",
+                          "Page-Hinkley excursion statistic", s.ph_stat);
+  append_prometheus_gauge(os, "model_health.score_q05",
+                          "P2 sketch of the live score, 5th percentile",
+                          s.score_q05);
+  append_prometheus_gauge(os, "model_health.score_q50",
+                          "P2 sketch of the live score, median", s.score_q50);
+  append_prometheus_gauge(os, "model_health.score_q95",
+                          "P2 sketch of the live score, 95th percentile",
+                          s.score_q95);
+  append_prometheus_gauge(os, "model_health.spe_q95",
+                          "P2 sketch of the PCA residual, 95th percentile",
+                          s.spe_q95);
+  for (std::size_t j = 0; j < s.component_occupancy.size(); ++j) {
+    const std::string id = std::to_string(j);
+    append_prometheus_gauge(
+        os, "model_health.occupancy." + id,
+        "intervals for which component " + id + " was most responsible",
+        static_cast<double>(s.component_occupancy[j]));
+  }
+  return os;
+}
+
 // ---------------------------------------------------------------------------
 // Monitor.
 
@@ -308,9 +296,11 @@ ModelHealthMonitor::ModelHealthMonitor(const std::vector<double>&,
                                        const ModelHealthOptions&) {}
 ModelHealthMonitor::~ModelHealthMonitor() = default;
 ModelHealthStatus ModelHealthMonitor::observe(double, double, std::size_t,
-                                              bool, std::uint64_t,
-                                              std::span<const double>) {
+                                              bool, std::uint64_t) {
   return ModelHealthStatus::kOk;
+}
+void ModelHealthMonitor::attach_views(std::shared_ptr<const ScoreHistory>,
+                                      std::shared_ptr<const IncidentRecorder>) {
 }
 ModelHealthStatus ModelHealthMonitor::status() const {
   return ModelHealthStatus::kOk;
@@ -318,7 +308,6 @@ ModelHealthStatus ModelHealthMonitor::status() const {
 ModelHealthSnapshot ModelHealthMonitor::snapshot() const {
   return ModelHealthSnapshot{};
 }
-void ModelHealthMonitor::reset() {}
 
 #else
 
@@ -346,42 +335,17 @@ struct ModelHealthMonitor::Impl {
   CusumDetector cusum;
   PageHinkleyDetector ph;
   std::vector<std::uint64_t> occupancy;
-  std::vector<double> recent;
-  std::size_t recent_next = 0;
-  std::vector<double> last_row;
-  std::uint64_t last_row_interval = 0;
   WilsonInterval wilson;
   bool miscalibrated = false;
   ModelHealthStatus current = ModelHealthStatus::kOk;
   std::vector<ModelHealthEvent> events;
 
-  Gauge& g_status = Registry::instance().gauge(
-      "model_health.status", "0 OK, 1 DRIFTING, 2 MISCALIBRATED");
-  Gauge& g_alarm_rate = Registry::instance().gauge(
-      "model_health.alarm_rate", "empirical alarm fraction of the live run");
-  Gauge& g_wilson_low = Registry::instance().gauge(
-      "model_health.wilson_low", "lower Wilson bound on the alarm rate");
-  Gauge& g_wilson_high = Registry::instance().gauge(
-      "model_health.wilson_high", "upper Wilson bound on the alarm rate");
-  Gauge& g_cusum_pos = Registry::instance().gauge(
-      "model_health.cusum_pos", "CUSUM upper sum on the standardized score");
-  Gauge& g_cusum_neg = Registry::instance().gauge(
-      "model_health.cusum_neg", "CUSUM lower sum on the standardized score");
-  Gauge& g_ph = Registry::instance().gauge(
-      "model_health.page_hinkley", "Page-Hinkley excursion statistic");
-  Gauge& g_q05 = Registry::instance().gauge(
-      "model_health.score_q05", "P2 sketch of the live score, 5th percentile");
-  Gauge& g_q50 = Registry::instance().gauge(
-      "model_health.score_q50", "P2 sketch of the live score, median");
-  Gauge& g_q95 = Registry::instance().gauge(
-      "model_health.score_q95", "P2 sketch of the live score, 95th percentile");
-  Gauge& g_spe95 = Registry::instance().gauge(
-      "model_health.spe_q95", "P2 sketch of the PCA residual, 95th percentile");
   Counter& c_drift = Registry::instance().counter(
       "model_health.drift_events", "transitions into DRIFTING");
   Counter& c_breach = Registry::instance().counter(
       "model_health.calibration_breaches", "transitions into MISCALIBRATED");
-  std::vector<Gauge*> g_occupancy;
+  std::shared_ptr<const ScoreHistory> history;    ///< recent_scores view.
+  std::shared_ptr<const IncidentRecorder> rows;   ///< heat_row view.
 
   Impl(const std::vector<double>& training_scores,
        std::vector<double> component_weights, const ModelHealthOptions& o)
@@ -414,13 +378,6 @@ struct ModelHealthMonitor::Impl {
       train_q95 = at(0.95);
     }
     occupancy.assign(weights.size(), 0);
-    g_occupancy.reserve(weights.size());
-    for (std::size_t j = 0; j < weights.size(); ++j) {
-      g_occupancy.push_back(&Registry::instance().gauge(
-          "model_health.occupancy." + std::to_string(j),
-          "intervals for which component " + std::to_string(j) +
-              " was most responsible"));
-    }
   }
 
   /// Detail line for a status transition, e.g.
@@ -458,8 +415,7 @@ ModelHealthMonitor::~ModelHealthMonitor() = default;
 
 ModelHealthStatus ModelHealthMonitor::observe(double log10_density, double spe,
                                               std::size_t pattern, bool alarm,
-                                              std::uint64_t interval_index,
-                                              std::span<const double> raw) {
+                                              std::uint64_t interval_index) {
   if (!enabled()) return ModelHealthStatus::kOk;
   Impl& im = *impl_;
   std::lock_guard<std::mutex> lk(im.mu);
@@ -485,29 +441,7 @@ ModelHealthStatus ModelHealthMonitor::observe(double log10_density, double spe,
     im.cusum.add(z);
     im.ph.add(z);
   }
-  if (pattern < im.occupancy.size()) {
-    ++im.occupancy[pattern];
-    im.g_occupancy[pattern]->set(
-        static_cast<double>(im.occupancy[pattern]));
-  }
-  if (im.opts.history > 0) {
-    if (im.recent.size() < im.opts.history) {
-      im.recent.push_back(log10_density);
-    } else {
-      im.recent[im.recent_next] = log10_density;
-      im.recent_next = (im.recent_next + 1) % im.opts.history;
-    }
-  }
-  // The raw row copy is O(L); a strided copy keeps the amortized hook cost
-  // flat while the watch dashboard still sees a fresh row every poll.
-  // Stride 0 disables the copy entirely: a fleet of 10k sessions cannot
-  // afford an L-sized row buffer each, and nothing polls them individually.
-  if (im.opts.row_stride > 0 &&
-      (im.last_row.empty() || alarm ||
-       interval_index % im.opts.row_stride == 0)) {
-    im.last_row.assign(raw.begin(), raw.end());
-    im.last_row_interval = interval_index;
-  }
+  if (pattern < im.occupancy.size()) ++im.occupancy[pattern];
 
   im.wilson = wilson_interval(im.alarms, im.intervals, im.opts.wilson_z);
   im.miscalibrated =
@@ -532,18 +466,6 @@ ModelHealthStatus ModelHealthMonitor::observe(double log10_density, double spe,
     im.current = next;
   }
 
-  im.g_status.set(static_cast<double>(static_cast<int>(im.current)));
-  im.g_alarm_rate.set(static_cast<double>(im.alarms) /
-                      static_cast<double>(im.intervals));
-  im.g_wilson_low.set(im.wilson.low);
-  im.g_wilson_high.set(im.wilson.high);
-  im.g_cusum_pos.set(im.cusum.positive_sum());
-  im.g_cusum_neg.set(im.cusum.negative_sum());
-  im.g_ph.set(im.ph.statistic());
-  im.g_q05.set(im.q05.value());
-  im.g_q50.set(im.q50.value());
-  im.g_q95.set(im.q95.value());
-  im.g_spe95.set(im.spe_q95.value());
   return im.current;
 }
 
@@ -552,9 +474,17 @@ ModelHealthStatus ModelHealthMonitor::status() const {
   return impl_->current;
 }
 
+void ModelHealthMonitor::attach_views(
+    std::shared_ptr<const ScoreHistory> history,
+    std::shared_ptr<const IncidentRecorder> rows) {
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  impl_->history = std::move(history);
+  impl_->rows = std::move(rows);
+}
+
 ModelHealthSnapshot ModelHealthMonitor::snapshot() const {
   const Impl& im = *impl_;
-  std::lock_guard<std::mutex> lk(im.mu);
+  std::unique_lock<std::mutex> lk(im.mu);
   ModelHealthSnapshot s;
   s.status = im.current;
   s.intervals = im.intervals;
@@ -592,46 +522,22 @@ ModelHealthSnapshot ModelHealthMonitor::snapshot() const {
   s.component_weights = im.weights;
   s.component_occupancy = im.occupancy;
   s.events = im.events;
-  // Recent scores, oldest first (the ring overwrites at recent_next).
-  if (im.recent.size() < im.opts.history) {
-    s.recent_scores = im.recent;
-  } else {
-    s.recent_scores.reserve(im.recent.size());
-    for (std::size_t i = 0; i < im.recent.size(); ++i) {
-      s.recent_scores.push_back(
-          im.recent[(im.recent_next + i) % im.recent.size()]);
+  const std::shared_ptr<const ScoreHistory> history = im.history;
+  const std::shared_ptr<const IncidentRecorder> rows = im.rows;
+  lk.unlock();  // The views take their own locks.
+  if (history != nullptr) {
+    for (const HistorySample& h : history->raw_snapshot()) {
+      s.recent_scores.push_back(h.score);
     }
   }
-  s.last_row = im.last_row;
-  s.last_row_interval = im.last_row_interval;
+  if (rows != nullptr) {
+    IncidentEntry newest = rows->newest();
+    if (!newest.row.empty()) {
+      s.last_row = std::move(newest.row);
+      s.last_row_interval = newest.interval;
+    }
+  }
   return s;
-}
-
-void ModelHealthMonitor::reset() {
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lk(im.mu);
-  im.q05 = P2Quantile(0.05);
-  im.q50 = P2Quantile(0.5);
-  im.q95 = P2Quantile(0.95);
-  im.spe_q50 = P2Quantile(0.5);
-  im.spe_q95 = P2Quantile(0.95);
-  im.spe_last = 0.0;
-  im.intervals = 0;
-  im.alarms = 0;
-  im.mean = 0.0;
-  im.m2 = 0.0;
-  im.cusum.reset();
-  im.ph.reset();
-  std::fill(im.occupancy.begin(), im.occupancy.end(), 0);
-  im.recent.clear();
-  im.recent_next = 0;
-  im.last_row.clear();
-  im.last_row_interval = 0;
-  im.wilson = WilsonInterval{};
-  im.miscalibrated = false;
-  im.current = ModelHealthStatus::kOk;
-  im.events.clear();
-  im.g_status.set(0.0);
 }
 
 #endif  // MHM_OBS_DISABLED

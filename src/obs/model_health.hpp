@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,13 +27,17 @@ namespace mhm::obs {
 ///  4. calibration: the empirical alarm rate vs the configured quantile p,
 ///     with Wilson-interval bounds.
 ///
-/// The verdict is a three-state `model_health.status` gauge —
-/// OK / DRIFTING / MISCALIBRATED — exported through the registry, served as
-/// JSON by the /model route, embedded in black-box bundles, and rendered
-/// live by `mhm_tool watch`. Like the rest of the obs layer the monitor
-/// never feeds back into detection, so the determinism guarantees of the
-/// pipeline are untouched; under MHM_OBS_DISABLE the monitor compiles down
-/// to an empty shell while the pure primitives below stay available.
+/// The verdict is a three-state status — OK / DRIFTING / MISCALIBRATED —
+/// rendered as the `model_health.*` gauges by the /metrics scrape of the
+/// server the monitor is attached to, served as JSON by the /model route,
+/// embedded in black-box bundles, and rendered live by `mhm_tool watch`.
+/// The monitor keeps statistics only: the sparkline scores and the heat row
+/// in its snapshot are read from the stream's ScoreHistory and
+/// IncidentRecorder, never copied per interval. Like the rest of the obs
+/// layer the monitor never feeds back into detection, so the determinism
+/// guarantees of the pipeline are untouched; under MHM_OBS_DISABLE the
+/// monitor compiles down to an empty shell while the pure primitives below
+/// stay available.
 
 /// Streaming quantile estimate by the P² algorithm (Jain & Chlamtac,
 /// CACM 1985): five markers tracked with parabolic interpolation, O(1)
@@ -72,14 +75,13 @@ class CusumDetector {
   CusumDetector(double k, double h) : k_(k), h_(h) {}
 
   /// Feed one standardized observation; returns true when this observation
-  /// fires the detector (the `fired` latch then stays set until reset()).
+  /// fires the detector (the `fired` latch then stays set).
   bool add(double z);
 
   double positive_sum() const { return s_pos_; }
   double negative_sum() const { return s_neg_; }
   double threshold() const { return h_; }
   bool fired() const { return fired_; }
-  void reset();
 
  private:
   double k_;
@@ -104,7 +106,6 @@ class PageHinkleyDetector {
   double statistic() const;
   double lambda() const { return lambda_; }
   bool fired() const { return fired_; }
-  void reset();
 
  private:
   double delta_;
@@ -158,21 +159,7 @@ struct ModelHealthOptions {
   /// mean, while a sustained shift still accumulates |z| ≤ z_clamp per
   /// interval and fires within a few intervals.
   double z_clamp = 8.0;
-  /// Recent-score ring for the watch sparkline (0 keeps no history — the
-  /// fleet preset, where 10k sessions cannot each afford a ring).
-  std::size_t history = 240;
-  /// Copy the raw heat-map row every Nth interval; 0 disables the copy
-  /// entirely (no per-session O(L) row buffer — the fleet preset).
-  std::size_t row_stride = 8;
   std::size_t max_events = 32;  ///< Status-transition records kept.
-  bool attach = true;  ///< MHM_DRIFT_DISABLE=1 leaves detectors bare.
-
-  /// Defaults overridden by the MHM_DRIFT_* environment knobs:
-  /// MHM_DRIFT_CUSUM_K, MHM_DRIFT_CUSUM_H, MHM_DRIFT_PH_DELTA,
-  /// MHM_DRIFT_PH_LAMBDA, MHM_DRIFT_WILSON_Z, MHM_DRIFT_MIN_INTERVALS,
-  /// MHM_DRIFT_WARMUP, MHM_DRIFT_Z_CLAMP, MHM_DRIFT_DISABLE,
-  /// MHM_DRIFT_HISTORY, MHM_DRIFT_ROW_STRIDE, MHM_DRIFT_MAX_EVENTS.
-  static ModelHealthOptions from_env();
 };
 
 /// One status transition, kept in a bounded list and exported via /model.
@@ -215,10 +202,17 @@ struct ModelHealthSnapshot {
   std::vector<double> component_weights;
   std::vector<std::uint64_t> component_occupancy;
   std::vector<ModelHealthEvent> events;
-  std::vector<double> recent_scores;   ///< Oldest first.
-  std::vector<double> last_row;        ///< Raw heat-map cells (may be stale).
+  /// The score history's raw ring, oldest first (spans model swaps; empty
+  /// without a history view).
+  std::vector<double> recent_scores;
+  /// The incident recorder's newest captured heat-map row and its interval
+  /// (empty and 0 without a recorder view or captured rows).
+  std::vector<double> last_row;
   std::uint64_t last_row_interval = 0;
 };
+
+class IncidentRecorder;
+class ScoreHistory;
 
 class ModelHealthMonitor {
  public:
@@ -240,19 +234,20 @@ class ModelHealthMonitor {
   /// score history and the incident recorder see transitions without a
   /// second lock acquisition. Thread-safe; state is order-dependent under
   /// parallel scoring but, like every obs metric, never feeds back into
-  /// detection.
+  /// detection. Writes no gauge: the only registry writes are the sharded
+  /// transition counters.
   ModelHealthStatus observe(double log10_density, double spe,
                             std::size_t pattern, bool alarm,
-                            std::uint64_t interval_index,
-                            std::span<const double> raw);
+                            std::uint64_t interval_index);
+
+  /// Point snapshot()'s `recent_scores` at `history`'s raw ring and its
+  /// heat row at `rows`' newest captured row. Either may be null; that part
+  /// of the snapshot is then empty. Thread-safe.
+  void attach_views(std::shared_ptr<const ScoreHistory> history,
+                    std::shared_ptr<const IncidentRecorder> rows);
 
   ModelHealthStatus status() const;
   ModelHealthSnapshot snapshot() const;
-
-  /// Clear the streaming state (sketches, drift sums, occupancy, events)
-  /// while keeping the training baseline — tests and benches replay several
-  /// scenarios against one trained detector.
-  void reset();
 
  private:
   struct Impl;
@@ -261,5 +256,10 @@ class ModelHealthMonitor {
 
 /// JSON object for a snapshot — the /model response body, one line.
 std::string model_health_json(const ModelHealthSnapshot& snapshot);
+
+/// The `model_health.*` gauges of a snapshot in Prometheus text format
+/// (status, alarm rate, Wilson bounds, drift sums, score / SPE quantiles,
+/// per-component occupancy) — appended to /metrics at scrape time.
+std::string model_health_prometheus(const ModelHealthSnapshot& snapshot);
 
 }  // namespace mhm::obs

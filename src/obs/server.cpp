@@ -235,10 +235,20 @@ void MonitorServer::Impl::respond(int fd, const std::string& target) {
 
   if (path == "/metrics") {
     // Scrape-time push: fold the profiler accumulators into prof.* gauges
-    // so zones never touch the registry on the hot path.
+    // so zones never touch the registry on the hot path. The model_health.*
+    // gauges are rendered from this server's monitor the same way, so no
+    // other session's monitor can overwrite them.
     prof::refresh_registry_metrics();
-    send_response(fd, 200, "OK", "text/plain; version=0.0.4",
-                  prometheus_text());
+    std::shared_ptr<const ModelHealthMonitor> monitor;
+    {
+      std::lock_guard<std::mutex> lk(journal_mu);
+      monitor = model_health;
+    }
+    std::string body = prometheus_text();
+    if (monitor != nullptr) {
+      body += model_health_prometheus(monitor->snapshot());
+    }
+    send_response(fd, 200, "OK", "text/plain; version=0.0.4", body);
     return;
   }
   if (path == "/profile") {

@@ -20,7 +20,8 @@ class ScoreHistory;
 /// MHM_OBS_PORT is set, `mhm_tool serve` starts it explicitly.
 ///
 /// Routes (all GET):
-///   /metrics          Prometheus 0.0.4 text of the process registry
+///   /metrics          Prometheus 0.0.4 text of the process registry, plus
+///                     the attached monitor's model_health.* gauges
 ///   /healthz          JSON liveness: uptime + last-analysis age
 ///   /status           JSON snapshot: intervals/alarms/scenario progress/LL
 ///   /journal?tail=N   last N decision records as JSON lines (default 100)
@@ -77,8 +78,9 @@ class MonitorServer {
   /// Null detaches (the endpoint then answers 404).
   void set_journal(std::shared_ptr<const DecisionJournal> journal);
 
-  /// Model-health monitor served by /model; same attach/detach semantics
-  /// as set_journal.
+  /// Model-health monitor served by /model, and the source of the
+  /// `model_health.*` gauges /metrics renders at scrape time (none while
+  /// detached); same attach/detach semantics as set_journal.
   void set_model_health(std::shared_ptr<const ModelHealthMonitor> monitor);
 
   /// Score history served by /history; same attach/detach semantics as

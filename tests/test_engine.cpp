@@ -28,6 +28,10 @@
 #include "engine/sim_source.hpp"
 #include "engine/source.hpp"
 #include "obs/export.hpp"
+#include "obs/history.hpp"
+#include "obs/incident.hpp"
+#include "obs/model_health.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm {
@@ -615,6 +619,48 @@ TEST_F(HotSwapTest, SwapTakesEffectAtNextIntervalBoundary) {
   EXPECT_EQ(session.transitions()[0].from_version, 1u);
   EXPECT_EQ(session.transitions()[0].to_version, 2u);
   EXPECT_EQ(session.model_version(), 2u);
+}
+
+// The model-health snapshot keeps no score ring or row copy of its own:
+// recent_scores is the session's score-history raw ring and heat_row the
+// newest analyzed row. The monitor rebound at a hot swap views the same
+// history and recorder, so the sparkline spans the swap.
+TEST_F(HotSwapTest, HealthSnapshotViewsHistoryAndNewestRowAcrossSwap) {
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  const std::string incident_dir = dir_ + "_incidents";
+  std::filesystem::create_directories(incident_dir);
+  obs::IncidentStore::Options store_opts;
+  store_opts.dir = incident_dir;
+  {
+    engine::DetectionEngine engine(registry_->load_snapshot(1));
+    engine::Session session = engine.new_session();
+    session.attach_incidents(obs::IncidentOptions{},
+                             std::make_shared<obs::IncidentStore>(store_opts));
+    const HeatMapTrace& maps = attacked_->maps;
+    const std::size_t half = maps.size() / 2;
+    for (std::size_t i = 0; i < maps.size(); ++i) {
+      if (i == half) engine.swap_model(registry_->load_snapshot(2));
+      session.analyze(maps[i]);
+    }
+    const auto health = session.model_health();
+    ASSERT_NE(health, nullptr);
+    const obs::ModelHealthSnapshot snap = health->snapshot();
+    // The rebound monitor's statistics start at the swap...
+    EXPECT_EQ(snap.intervals, maps.size() - half);
+    // ...while its sparkline is the whole history ring, model 1 included.
+    const std::vector<obs::HistorySample> raw =
+        session.score_history()->raw_snapshot();
+    ASSERT_EQ(snap.recent_scores.size(), raw.size());
+    EXPECT_GT(raw.size(), snap.intervals);
+    EXPECT_EQ(raw.front().model_version, 1u);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      EXPECT_EQ(snap.recent_scores[i], raw[i].score) << i;
+    }
+    EXPECT_EQ(snap.last_row_interval, maps.back().interval_index);
+    EXPECT_EQ(snap.last_row, maps.back().as_vector());
+  }
+  std::filesystem::remove_all(incident_dir);
 }
 
 TEST_F(HotSwapTest, SwapRejectsNullAndMismatchedSnapshots) {

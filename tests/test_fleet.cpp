@@ -28,6 +28,7 @@
 #include "fleet/aggregator.hpp"
 #include "fleet/spec.hpp"
 #include "obs/export.hpp"
+#include "obs/history.hpp"
 #include "obs/incident.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
@@ -49,8 +50,6 @@ TEST(FleetSpec, ParsesFullFile) {
       "top_k = 3\n"
       "health_refresh = 5\n"
       "journal_capacity = 16\n"
-      "health_history = 2\n"
-      "health_row_stride = 0\n"
       "health_max_events = 1\n"
       "session_bytes_budget = 32768\n"
       "[archetype.steady]\n"
@@ -68,8 +67,6 @@ TEST(FleetSpec, ParsesFullFile) {
   EXPECT_EQ(spec.top_k, 3u);
   EXPECT_EQ(spec.health_refresh, 5u);
   EXPECT_EQ(spec.journal_capacity, 16u);
-  EXPECT_EQ(spec.health_history, 2u);
-  EXPECT_EQ(spec.health_row_stride, 0u);
   EXPECT_EQ(spec.health_max_events, 1u);
   EXPECT_EQ(spec.session_bytes_budget, 32768u);
   ASSERT_EQ(spec.archetypes.size(), 2u);
@@ -99,6 +96,8 @@ TEST(FleetSpec, DefaultsAndShardResolution) {
 
 TEST(FleetSpec, RejectsMalformedInput) {
   EXPECT_THROW(FleetSpec::parse_string("frobnicate = 1\n"), ConfigError);
+  // Retired key: the health sparkline is the score history's raw ring.
+  EXPECT_THROW(FleetSpec::parse_string("health_history = 0\n"), ConfigError);
   EXPECT_THROW(FleetSpec::parse_string("[frobnicate]\n"), ConfigError);
   EXPECT_THROW(FleetSpec::parse_string("[archetype.bad name]\n"),
                ConfigError);
@@ -468,22 +467,8 @@ TEST(FleetSessionBudget, FleetPresetShrinksObservationState) {
   const auto opts = engine::SessionOptions::fleet_preset();
   EXPECT_EQ(opts.journal_capacity, 32u);
   EXPECT_EQ(opts.top_cells, 0u);
-  EXPECT_EQ(opts.health_history, 0u);
-  EXPECT_EQ(opts.health_row_stride, 0u);
   EXPECT_EQ(opts.health_max_events, 4u);
-}
-
-TEST(FleetSessionBudget, HealthKnobsComeFromEnv) {
-  ::setenv("MHM_DRIFT_HISTORY", "7", 1);
-  ::setenv("MHM_DRIFT_ROW_STRIDE", "0", 1);
-  ::setenv("MHM_DRIFT_MAX_EVENTS", "2", 1);
-  const obs::ModelHealthOptions opts = obs::ModelHealthOptions::from_env();
-  EXPECT_EQ(opts.history, 7u);
-  EXPECT_EQ(opts.row_stride, 0u);
-  EXPECT_EQ(opts.max_events, 2u);
-  ::unsetenv("MHM_DRIFT_HISTORY");
-  ::unsetenv("MHM_DRIFT_ROW_STRIDE");
-  ::unsetenv("MHM_DRIFT_MAX_EVENTS");
+  EXPECT_EQ(opts.history_raw, 32u);
 }
 
 TEST_F(FleetTest, FleetPresetSessionKeepsNoHistoryOrRows) {
@@ -501,9 +486,16 @@ TEST_F(FleetTest, FleetPresetSessionKeepsNoHistoryOrRows) {
   if (health == nullptr) GTEST_SKIP() << "obs layer compiled out";
   const obs::ModelHealthSnapshot snap = health->snapshot();
   EXPECT_GT(snap.intervals, 0u);
-  EXPECT_TRUE(snap.recent_scores.empty());  // history = 0
-  EXPECT_TRUE(snap.last_row.empty());       // row_stride = 0: no raw copy
-  EXPECT_LE(snap.events.size(), 4u);        // max_events = 4
+  // The sparkline is the session's 32-slot score-history ring, not a copy.
+  ASSERT_EQ(snap.recent_scores.size(), 32u);
+  const auto raw = session.score_history()->raw_snapshot();
+  ASSERT_EQ(raw.size(), snap.recent_scores.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(snap.recent_scores[i], raw[i].score) << i;
+  }
+  // No incident recorder, so no heat row.
+  EXPECT_TRUE(snap.last_row.empty());
+  EXPECT_LE(snap.events.size(), 4u);  // max_events = 4
 }
 
 // --- ephemeral env server ---------------------------------------------

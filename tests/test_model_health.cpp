@@ -11,12 +11,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "attacks/attacks.hpp"
 #include "common/rng.hpp"
 #include "gtest/gtest.h"
+#include "obs/history.hpp"
+#include "obs/incident.hpp"
 #include "obs/model_health.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
@@ -69,10 +72,9 @@ struct MonitorFixture {
     return s / static_cast<double>(xs.size());
   }
 
-  /// One observation with a benign row; z==0 when x is the training mean.
+  /// One observation; z==0 when x is the training mean.
   void feed(double x, bool alarm, std::uint64_t interval) {
-    static const std::vector<double> row(16, 1.0);
-    monitor.observe(x, 0.5, interval % 3, alarm, interval, row);
+    monitor.observe(x, 0.5, interval % 3, alarm, interval);
   }
 };
 
@@ -142,9 +144,6 @@ TEST(CusumDetector, FiresOnInjectedMeanShift) {
   EXPECT_GE(fired_after, 0);
   EXPECT_LE(fired_after, 60);
   EXPECT_TRUE(cusum.fired());  // latched
-  cusum.reset();
-  EXPECT_FALSE(cusum.fired());
-  EXPECT_DOUBLE_EQ(cusum.negative_sum(), 0.0);
 }
 
 TEST(PageHinkleyDetector, SilentOnStationaryStream) {
@@ -165,9 +164,6 @@ TEST(PageHinkleyDetector, FiresOnInjectedMeanShift) {
   }
   EXPECT_GE(fired_after, 0);
   EXPECT_TRUE(ph.fired());
-  ph.reset();
-  EXPECT_FALSE(ph.fired());
-  EXPECT_DOUBLE_EQ(ph.statistic(), 0.0);
 }
 
 TEST(WilsonIntervalTest, MatchesReferenceValues) {
@@ -260,16 +256,27 @@ TEST(ModelHealthMonitorTest, WarmupAndWinsorizationGuardDriftDetectors) {
 TEST(ModelHealthMonitorTest, SnapshotBookkeepingAndReset) {
   EnabledGuard guard;
   if (!enabled()) GTEST_SKIP() << "obs layer compiled out";
-  ModelHealthOptions opts;
-  opts.history = 4;
-  opts.row_stride = 1;
-  MonitorFixture fx(opts);
+  MonitorFixture fx(ModelHealthOptions{});
+  // The sparkline and heat row are views of the stream's own score history
+  // and incident recorder; the monitor keeps neither.
+  HistoryOptions ho;
+  ho.raw_capacity = 4;
+  auto history = std::make_shared<ScoreHistory>(ho);
+  auto rows = std::make_shared<IncidentRecorder>(IncidentOptions{}, nullptr);
+  fx.monitor.attach_views(history, rows);
   for (std::uint64_t n = 0; n < 7; ++n) {
-    fx.feed(fx.train_mean + static_cast<double>(n), false, n);
+    const double score = fx.train_mean + static_cast<double>(n);
+    const std::vector<double> row(16, static_cast<double>(n));
+    fx.feed(score, false, n);
+    HistorySample sample;
+    sample.interval = n;
+    sample.score = score;
+    history->append(sample);
+    rows->note(n, score, 0.5, false, n % 3, 0, -30.0, 0, row, {}, {});
   }
   ModelHealthSnapshot snap = fx.monitor.snapshot();
   EXPECT_EQ(snap.intervals, 7u);
-  // Ring of 4, oldest first: observations 3, 4, 5, 6.
+  // History ring of 4, oldest first: observations 3, 4, 5, 6.
   ASSERT_EQ(snap.recent_scores.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(snap.recent_scores[i],
@@ -280,16 +287,18 @@ TEST(ModelHealthMonitorTest, SnapshotBookkeepingAndReset) {
   EXPECT_EQ(snap.component_occupancy[0], 3u);
   EXPECT_EQ(snap.component_occupancy[1], 2u);
   EXPECT_EQ(snap.component_occupancy[2], 2u);
+  // The recorder's newest row, not a strided copy.
   EXPECT_EQ(snap.last_row_interval, 6u);
-  EXPECT_EQ(snap.last_row.size(), 16u);
+  EXPECT_EQ(snap.last_row, std::vector<double>(16, 6.0));
 
-  fx.monitor.reset();
+  // Detaching the views empties both arrays and keeps every statistic.
+  fx.monitor.attach_views(nullptr, nullptr);
   snap = fx.monitor.snapshot();
-  EXPECT_EQ(snap.intervals, 0u);
-  EXPECT_EQ(snap.status, ModelHealthStatus::kOk);
+  EXPECT_EQ(snap.intervals, 7u);
+  EXPECT_EQ(snap.component_occupancy[0], 3u);
   EXPECT_TRUE(snap.recent_scores.empty());
-  EXPECT_EQ(snap.component_occupancy[0], 0u);
-  // The training baseline survives a reset.
+  EXPECT_TRUE(snap.last_row.empty());
+  EXPECT_EQ(snap.last_row_interval, 0u);
   EXPECT_NEAR(snap.train_mean, fx.train_mean, 1e-9);
 }
 

@@ -340,6 +340,48 @@ TEST_F(MonitorServerTest, MetricsServesPrometheusText) {
   EXPECT_NE(body.find("mhm_test_server_hits 3"), std::string::npos);
 }
 
+// The model_health.* gauges come from the monitor attached to this server,
+// rendered at scrape time: another stream's monitor observing afterwards
+// cannot overwrite them, and with none attached there are none.
+TEST_F(MonitorServerTest, MetricsRenderModelHealthOfTheAttachedMonitor) {
+  std::vector<double> training;
+  for (int i = 0; i < 64; ++i) training.push_back(-25.0 + 0.1 * i);
+  const auto monitor = [&] {
+    return std::make_shared<ModelHealthMonitor>(
+        training, std::vector<double>{0.6, 0.4}, ModelHealthOptions{});
+  };
+  const auto a = monitor();
+  const auto b = monitor();
+  // A drifts: a sustained 8σ-clamped shift latches CUSUM within a few
+  // post-warmup intervals. B stays on the training mean and observes last.
+  for (std::uint64_t n = 0; n < 40; ++n) {
+    a->observe(-100.0, 0.25, 0, /*alarm=*/false, n);
+  }
+  ASSERT_EQ(a->status(), ModelHealthStatus::kDrifting);
+  server_.set_model_health(a);
+  for (std::uint64_t n = 0; n < 40; ++n) {
+    b->observe(-21.85, 0.25, 1, /*alarm=*/false, n);
+  }
+  ASSERT_EQ(b->status(), ModelHealthStatus::kOk);
+
+  std::string body = body_of(get_path(server_.port(), "/metrics"));
+  EXPECT_NE(body.find("# TYPE mhm_model_health_status gauge\n"
+                      "mhm_model_health_status 1\n"),
+            std::string::npos)
+      << body;
+  EXPECT_NE(body.find("# HELP mhm_model_health_cusum_neg "),
+            std::string::npos);
+  EXPECT_NE(body.find("\nmhm_model_health_occupancy_0 40\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("\nmhm_model_health_occupancy_1 0\n"),
+            std::string::npos);
+
+  server_.set_model_health(nullptr);
+  body = body_of(get_path(server_.port(), "/metrics"));
+  EXPECT_EQ(body.find("mhm_model_health_status"), std::string::npos);
+  EXPECT_NE(body.find("mhm_model_health_drift_events"), std::string::npos);
+}
+
 TEST_F(MonitorServerTest, HealthzReportsLivenessJson) {
   const std::string response = get_path(server_.port(), "/healthz");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
@@ -403,9 +445,8 @@ TEST_F(MonitorServerTest, ModelServesModelHealthJson) {
   opts.min_intervals = 8;
   auto monitor = std::make_shared<ModelHealthMonitor>(
       training, std::vector<double>{0.6, 0.4}, opts);
-  const std::vector<double> row = {1.0, 2.0, 3.0};
   for (std::uint64_t n = 0; n < 12; ++n) {
-    monitor->observe(-22.0, 0.25, n % 2, /*alarm=*/false, n, row);
+    monitor->observe(-22.0, 0.25, n % 2, /*alarm=*/false, n);
   }
   server_.set_model_health(monitor);
 
@@ -630,9 +671,12 @@ TEST_F(MonitorServerTest, IncidentsServesListAndDetail) {
 }
 
 TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
-  // Scrapers hammer /history, /incidents and /flush while the analysis side
-  // keeps appending, committing and refreshing the armed store's crash
-  // bundle — the TSan build must see no races.
+  // Scrapers hammer /history, /incidents, /flush, /model and /metrics while
+  // the analysis side keeps observing, appending, committing and refreshing
+  // the armed store's crash bundle — the TSan build must see no races. The
+  // monitor's sparkline and heat row are views of the same history and
+  // recorder, read under their own locks, and the store renders them into
+  // its crash and flush bundles: neither path may deadlock.
   auto history = std::make_shared<ScoreHistory>(HistoryOptions{});
   const std::string dir = std::string(::testing::TempDir()) +
                           "mhm_server_incidents_race";
@@ -646,14 +690,24 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   inc_opts.burst_count = 1;
   inc_opts.burst_window = 2;
   inc_opts.min_gap = 8;
-  IncidentRecorder recorder(inc_opts, store);
+  auto recorder = std::make_shared<IncidentRecorder>(inc_opts, store);
+  auto monitor = std::make_shared<ModelHealthMonitor>(
+      std::vector<double>{-21.0, -20.0, -19.0}, std::vector<double>{1.0},
+      ModelHealthOptions{});
+  monitor->attach_views(history, recorder);
   server_.set_history(history);
   server_.set_incidents(store);
-  ASSERT_TRUE(store->arm());
+  server_.set_model_health(monitor);
+  // serve's context provider: the crash and /flush bundles carry the
+  // monitor's JSON, whose heat row reads the recorder being noted into.
+  ASSERT_TRUE(store->arm([monitor] {
+    return "== model_health ==\n" + model_health_json(monitor->snapshot()) +
+           "\n";
+  }));
 
   std::vector<std::thread> scrapers;
   for (const char* path : {"/history?series=all&res=0", "/incidents",
-                           "/incidents/1", "/flush"}) {
+                           "/incidents/1", "/flush", "/model", "/metrics"}) {
     scrapers.emplace_back([this, path] {
       for (int i = 0; i < 25; ++i) (void)get_path(server_.port(), path);
     });
@@ -663,8 +717,9 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
     HistorySample s;
     s.interval = i;
     s.score = -20.0;
+    monitor->observe(s.score, 0.5, 0, i % 16 == 0, i);
     history->append(s);
-    recorder.note(i, -30.0, 0.5, i % 16 == 0, 0, 3, -25.0, 0, row, {}, {});
+    recorder->note(i, -30.0, 0.5, i % 16 == 0, 0, 3, -25.0, 0, row, {}, {});
     // Past one refresh period: the next note re-renders the crash bundle.
     if (i == 100) std::this_thread::sleep_for(std::chrono::milliseconds(260));
   }
@@ -672,8 +727,13 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   store->disarm();
   EXPECT_GT(store->total_committed(), 0u);
   EXPECT_EQ(history->total_appended(), 200u);
+  const ModelHealthSnapshot snap = monitor->snapshot();
+  EXPECT_EQ(snap.intervals, 200u);
+  EXPECT_EQ(snap.recent_scores.size(), 200u);
+  EXPECT_EQ(snap.last_row, (std::vector<double>{1.0, 2.0}));
   server_.set_history(nullptr);
   server_.set_incidents(nullptr);
+  server_.set_model_health(nullptr);
 }
 
 /// A fresh per-test directory under the gtest temp dir.
