@@ -541,18 +541,116 @@ Eigenmemory Eigenmemory::fit_topk(const HeatMapTrace& maps,
   return fit_topk(raw, options);
 }
 
+namespace {
+
+/// Most component chains one serial pass keeps in flight: 12 accumulators
+/// plus ‖Φ‖², the cell and a product fit the 16 SSE registers of baseline
+/// x86-64 without spilling.
+constexpr std::size_t kMaxChains = 12;
+
+/// One sweep over the map advancing R component chains side by side. Per
+/// cell: convert to double (leaving the double in `raw` for count input),
+/// subtract the mean, add the cell's term to every chain and to ‖Φ‖². R is a
+/// compile-time constant so the accumulators unroll into registers; each is
+/// a single i-ascending chain, the linalg::dot order. Writes weight r to
+/// w[r * stride] and returns ‖Φ‖².
+template <int R, typename T>
+double chains_pass(const double* const* brows, const T* x, const double* mean,
+                   std::size_t l, double* raw, double* w, std::size_t stride) {
+  const double* b[R];
+  for (int r = 0; r < R; ++r) b[r] = brows[r];
+  double acc[R] = {};
+  double sq = 0.0;
+  for (std::size_t i = 0; i < l; ++i) {
+    const double v = static_cast<double>(x[i]);
+    if constexpr (!std::is_same_v<T, double>) raw[i] = v;
+    const double phi = v - mean[i];
+    sq += phi * phi;
+#pragma GCC unroll 12
+    for (int r = 0; r < R; ++r) acc[r] += b[r][i] * phi;
+  }
+  for (int r = 0; r < R; ++r) w[static_cast<std::size_t>(r) * stride] = acc[r];
+  return sq;
+}
+
+template <typename T>
+double chains_dispatch(std::size_t rows, const double* const* brows,
+                       const T* x, const double* mean, std::size_t l,
+                       double* raw, double* w, std::size_t stride) {
+  switch (rows) {
+    case 12: return chains_pass<12>(brows, x, mean, l, raw, w, stride);
+    case 11: return chains_pass<11>(brows, x, mean, l, raw, w, stride);
+    case 10: return chains_pass<10>(brows, x, mean, l, raw, w, stride);
+    case 9: return chains_pass<9>(brows, x, mean, l, raw, w, stride);
+    case 8: return chains_pass<8>(brows, x, mean, l, raw, w, stride);
+    case 7: return chains_pass<7>(brows, x, mean, l, raw, w, stride);
+    case 6: return chains_pass<6>(brows, x, mean, l, raw, w, stride);
+    case 5: return chains_pass<5>(brows, x, mean, l, raw, w, stride);
+    case 4: return chains_pass<4>(brows, x, mean, l, raw, w, stride);
+    case 3: return chains_pass<3>(brows, x, mean, l, raw, w, stride);
+    case 2: return chains_pass<2>(brows, x, mean, l, raw, w, stride);
+    default: return chains_pass<1>(brows, x, mean, l, raw, w, stride);
+  }
+}
+
+/// The serial projection kernel: all L' chains in ⌈L'/12⌉ balanced passes
+/// (13 → 7 + 6, 25 → 9 + 8 + 8). ‖Φ‖² comes from the first pass; count input
+/// is converted into `raw` by the first pass and read back from there by
+/// the later ones.
+template <typename T>
+double project_one(const Matrix& basis, const std::vector<double>& mean,
+                   const T* x, double* raw, double* w, std::size_t stride) {
+  const std::size_t k_count = basis.rows();
+  const std::size_t l = mean.size();
+  const std::size_t passes = (k_count + kMaxChains - 1) / kMaxChains;
+  const double* again;  // What the passes after the first read.
+  if constexpr (std::is_same_v<T, double>) {
+    again = x;
+  } else {
+    again = raw;
+  }
+  double phi_sq = 0.0;
+  std::size_t k = 0;
+  for (std::size_t p = 0; p < passes; ++p) {
+    const std::size_t left = passes - p;
+    const std::size_t rows = (k_count - k + left - 1) / left;
+    const double* brows[kMaxChains];
+    for (std::size_t r = 0; r < rows; ++r) brows[r] = basis.row(k + r).data();
+    double* wk = w + k * stride;
+    if (p == 0) {
+      phi_sq = chains_dispatch(rows, brows, x, mean.data(), l, raw, wk, stride);
+    } else {
+      chains_dispatch(rows, brows, again, mean.data(), l, nullptr, wk, stride);
+    }
+    k += rows;
+  }
+  return phi_sq;
+}
+
+}  // namespace
+
+double Eigenmemory::project_pass(std::span<const double> map,
+                                 std::span<double> weights) const {
+  MHM_ASSERT(map.size() == mean_.size() && weights.size() == components(),
+             "Eigenmemory::project: bad length");
+  return project_one(basis_, mean_, map.data(), nullptr, weights.data(), 1);
+}
+
+double Eigenmemory::project_pass(std::span<const std::uint32_t> counts,
+                                 std::span<double> raw,
+                                 std::span<double> weights) const {
+  MHM_ASSERT(counts.size() == mean_.size() && raw.size() == counts.size() &&
+                 weights.size() == components(),
+             "Eigenmemory::project: bad length");
+  return project_one(basis_, mean_, counts.data(), raw.data(), weights.data(),
+                     1);
+}
+
 void Eigenmemory::project_into(std::span<const double> map,
-                               std::vector<double>& phi_scratch,
+                               std::vector<double>& /*phi_scratch*/,
                                std::vector<double>& weights) const {
-  MHM_ASSERT(map.size() == mean_.size(), "Eigenmemory::project: bad length");
-  phi_scratch.resize(map.size());
-  for (std::size_t i = 0; i < map.size(); ++i) {
-    phi_scratch[i] = map[i] - mean_[i];
-  }
   weights.resize(components());
-  for (std::size_t k = 0; k < components(); ++k) {
-    weights[k] = linalg::dot(basis_.row(k), phi_scratch);
-  }
+  project_pass(map, weights);
 }
 
 namespace {
@@ -604,37 +702,35 @@ void tile_pass1_generic(const double* brow0, std::size_t l,
 // per row. Element-wise vector ops preserve each lane's serial chain
 // exactly, and the build compiles with -ffp-contract=off, so no mul+add is
 // ever fused — results are bit-identical to the generic pass and to serial
-// project_into() on every ISA.
+// project_pass() on every ISA.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define MHM_PCA_AVX2_TILE 1
-
-// The vector helpers below are internal and always inlined into the
-// target-attributed kernels, so the vector-ABI warning about plain
-// functions taking vector arguments does not apply.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
 
 typedef double V4df __attribute__((vector_size(32)));
 // Unaligned view type: tile rows are only guaranteed 8-byte aligned.
 typedef double V4dfU __attribute__((vector_size(32), aligned(8)));
 
-// always_inline: these must fold into their (target-attributed) callers —
-// a standalone out-of-line copy would also re-trip -Wpsabi past the
-// diagnostic region below.
-__attribute__((always_inline)) inline V4df v4load(const double* p) {
+// The load/store helpers carry their ISA like the kernels that inline
+// them, so passing or returning a 32- or 64-byte vector never happens in a
+// function compiled for the baseline ABI.
+__attribute__((target("avx2"), always_inline)) inline V4df v4load(
+    const double* p) {
   return *reinterpret_cast<const V4dfU*>(p);
 }
-__attribute__((always_inline)) inline void v4store(double* p, V4df v) {
+__attribute__((target("avx2"), always_inline)) inline void v4store(double* p,
+                                                                   V4df v) {
   *reinterpret_cast<V4dfU*>(p) = v;
 }
 
 typedef double V8df __attribute__((vector_size(64)));
 typedef double V8dfU __attribute__((vector_size(64), aligned(8)));
 
-__attribute__((always_inline)) inline V8df v8load(const double* p) {
+__attribute__((target("avx512f"), always_inline)) inline V8df v8load(
+    const double* p) {
   return *reinterpret_cast<const V8dfU*>(p);
 }
-__attribute__((always_inline)) inline void v8store(double* p, V8df v) {
+__attribute__((target("avx512f"), always_inline)) inline void v8store(
+    double* p, V8df v) {
   *reinterpret_cast<V8dfU*>(p) = v;
 }
 
@@ -795,7 +891,6 @@ TileIsa tile_isa() {
   return isa;
 }
 
-#pragma GCC diagnostic pop
 #endif  // x86-64 GCC/clang
 
 /// Sweep all L' basis rows over one full 16-lane tile, writing the weights
@@ -890,7 +985,7 @@ void Eigenmemory::project_batch(std::span<const std::span<const double>> maps,
     // doubles, so every write is a short contiguous run at any batch size
     // (a lane-major Φ block at large B would stride the cache by batch·8
     // bytes and thrash one L1 set). Each lane's Φ values and its ‖Φ‖² chain
-    // accumulate in ascending cell order — the project_into() /
+    // accumulate in ascending cell order — the project_pass() /
     // score_snapshot() sequence.
     const double* rowp[kProjTile];
     for (std::size_t t = 0; t < width; ++t) {
@@ -921,32 +1016,27 @@ void Eigenmemory::project_batch(std::span<const std::span<const double>> maps,
     if (width == kProjTile) {
       project_full_tile(basis_, k_count, tile, weights_soa.data(), batch, b0);
     } else {
-      // Ragged tail: per-lane scalar dots over the tile column, ascending i
-      // — exactly the serial project_into() sequence. Sub-tile batches have
-      // no cross-lane parallelism to exploit, so they run at serial speed.
+      // Ragged tail: the serial kernel per lane over its raw row, all L'
+      // chains in flight, weights straight into the lane's column.
       for (std::size_t t = 0; t < width; ++t) {
-        for (std::size_t k = 0; k < k_count; ++k) {
-          const double* brow = basis_.row(k).data();
-          double acc = 0.0;
-          for (std::size_t i = 0; i < l; ++i) {
-            acc += brow[i] * tile[i * kProjTile + t];
-          }
-          weights_soa[k * batch + b0 + t] = acc;
-        }
+        project_one(basis_, mean_, rowp[t], nullptr,
+                    weights_soa.data() + b0 + t, batch);
       }
     }
   }
 }
 
 std::vector<double> Eigenmemory::project(const std::vector<double>& map) const {
-  std::vector<double> phi;
-  std::vector<double> w;
-  project_into(map, phi, w);
+  std::vector<double> w(components());
+  project_pass(map, w);
   return w;
 }
 
 std::vector<double> Eigenmemory::project(const HeatMap& map) const {
-  return project(map.as_vector());
+  std::vector<double> raw(map.cell_count());
+  std::vector<double> w(components());
+  project_pass(map.counts(), raw, w);
+  return w;
 }
 
 std::vector<std::vector<double>> Eigenmemory::project_all(
@@ -954,9 +1044,9 @@ std::vector<std::vector<double>> Eigenmemory::project_all(
   OBS_SPAN("pca.project_all");
   std::vector<std::vector<double>> out(maps.size());
   parallel_for(maps.size(), 0, [&](std::size_t i0, std::size_t i1) {
-    std::vector<double> phi;
     for (std::size_t i = i0; i < i1; ++i) {
-      project_into(maps[i], phi, out[i]);
+      out[i].resize(components());
+      project_pass(maps[i], out[i]);
     }
   });
   return out;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -90,9 +91,23 @@ class Eigenmemory {
   std::vector<double> project(const std::vector<double>& map) const;
   std::vector<double> project(const HeatMap& map) const;
 
-  /// Allocation-free projection for the online scoring path: reuses
-  /// `phi_scratch` for the mean-shifted map and writes the weights into
-  /// `weights` (both resized on first use, then stable).
+  /// The serial projection kernel of the online scoring path: one sweep
+  /// over the map that converts each cell to double, subtracts the mean,
+  /// advances all L' weight chains side by side (at most 12 per sweep;
+  /// larger L' splits into balanced sweeps) and folds ‖Φ‖² in as one more
+  /// chain. Each chain is a single i-ascending accumulator — the linalg::dot
+  /// order — so the weights and ‖Φ‖² are bit-identical to a mean shift
+  /// followed by one dot per component. Writes the L' weights into
+  /// `weights` (length L') and returns ‖Φ‖². Allocation-free.
+  double project_pass(std::span<const double> map,
+                      std::span<double> weights) const;
+  /// Count input (a HeatMap's cells): the same pass, which also leaves the
+  /// map as doubles in `raw` (length L).
+  double project_pass(std::span<const std::uint32_t> counts,
+                      std::span<double> raw, std::span<double> weights) const;
+
+  /// project_pass() into a vector: `weights` is resized on first use, then
+  /// stable. `phi_scratch` is not touched; it stays for existing callers.
   void project_into(std::span<const double> map,
                     std::vector<double>& phi_scratch,
                     std::vector<double>& weights) const;
@@ -115,7 +130,7 @@ class Eigenmemory {
   /// Determinism contract: every per-map accumulation (mean shift in cell
   /// order, each weight as an i-ascending single-accumulator dot — the
   /// linalg::dot order, ‖Φ‖² in cell order) is the exact serial sequence of
-  /// project_into(); only *independent* chains run side by side in a
+  /// project_pass(); only *independent* chains run side by side in a
   /// register tile (including the runtime-dispatched AVX2 tile kernel,
   /// whose vector lanes are element-wise and never fused — the build pins
   /// -ffp-contract=off), so the weights are bit-identical to the serial

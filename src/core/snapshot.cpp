@@ -41,16 +41,22 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::assemble(
                     .version = version});
 }
 
-Verdict score_snapshot(const ModelSnapshot& snapshot,
-                       std::span<const double> raw,
-                       std::uint64_t interval_index, ScoreScratch& scratch) {
-  // One projection + one responsibilities pass yields density and nearest
-  // pattern together; the scratch buffers reach their final size on the
-  // first interval and every later call is allocation-free.
+namespace {
+
+/// The score around one projection pass: `project` fills scratch.reduced
+/// and returns ‖Φ‖². One projection + one responsibilities pass yields
+/// density and nearest pattern together; the scratch buffers reach their
+/// final size on the first interval and every later call is
+/// allocation-free.
+template <typename Project>
+Verdict score_with(const ModelSnapshot& snapshot, std::uint64_t interval_index,
+                   ScoreScratch& scratch, Project&& project) {
   const auto t0 = std::chrono::steady_clock::now();
+  double phi_sq;
   {
     PROF_ZONE(kScoreProject);
-    snapshot.pca.project_into(raw, scratch.phi, scratch.reduced);
+    scratch.reduced.resize(snapshot.pca.components());
+    phi_sq = project();
   }
   double log10_density;
   std::size_t pattern;
@@ -73,16 +79,33 @@ Verdict score_snapshot(const ModelSnapshot& snapshot,
   v.model_version = snapshot.version;
   v.analysis_time =
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0);
-  // SPE from the projection scratch: the basis rows are orthonormal, so the
-  // reconstruction residual ‖Φ − B^T w‖² is ‖Φ‖² − ‖w‖² — no reconstruction,
-  // no allocation. Untimed: analysis_time stays the §5.4 measurement.
+  // SPE: the basis rows are orthonormal, so the reconstruction residual
+  // ‖Φ − B^T w‖² is ‖Φ‖² − ‖w‖² — no reconstruction, no allocation.
+  // Untimed: analysis_time stays the §5.4 measurement.
   PROF_ZONE(kScoreSpe);
-  double phi_sq = 0.0;
-  for (double c : scratch.phi) phi_sq += c * c;
   double w_sq = 0.0;
   for (double c : scratch.reduced) w_sq += c * c;
   v.spe = std::max(0.0, phi_sq - w_sq);
   return v;
+}
+
+}  // namespace
+
+Verdict score_snapshot(const ModelSnapshot& snapshot,
+                       std::span<const double> raw,
+                       std::uint64_t interval_index, ScoreScratch& scratch) {
+  return score_with(snapshot, interval_index, scratch, [&] {
+    return snapshot.pca.project_pass(raw, scratch.reduced);
+  });
+}
+
+Verdict score_snapshot(const ModelSnapshot& snapshot, const HeatMap& map,
+                       ScoreScratch& scratch) {
+  return score_with(snapshot, map.interval_index, scratch, [&] {
+    scratch.raw.resize(map.cell_count());
+    return snapshot.pca.project_pass(map.counts(), scratch.raw,
+                                     scratch.reduced);
+  });
 }
 
 void ScoreBatch::clear(std::size_t input_dim) {

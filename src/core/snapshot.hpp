@@ -91,7 +91,9 @@ struct ModelSnapshot {
 /// then every score is allocation-free. One per session / per thread — never
 /// shared across concurrent scorers.
 struct ScoreScratch {
-  std::vector<double> phi;      ///< Mean-shifted map Φ.
+  /// The scored map as doubles: written by the HeatMap overload of
+  /// score_snapshot (the observer's incident rows and top cells read it).
+  std::vector<double> raw;
   std::vector<double> reduced;  ///< Projected weights w (M').
   std::vector<double> gamma;    ///< Per-component responsibilities.
   Gmm::Scratch gmm;
@@ -100,11 +102,18 @@ struct ScoreScratch {
 /// Score one raw MHM against a snapshot: project, evaluate the mixture,
 /// compare against the primary threshold. Timed — `Verdict::analysis_time`
 /// is the wall-clock cost of projection + density (the §5.4 measurement);
-/// the SPE falls out of the projection scratch untimed. Pure: no metrics, no
-/// journal — observation is the StreamObserver's job.
+/// ‖Φ‖² comes out of the projection pass and the SPE is finished untimed.
+/// Pure: no metrics, no journal — observation is the StreamObserver's job.
 Verdict score_snapshot(const ModelSnapshot& snapshot,
                        std::span<const double> raw,
                        std::uint64_t interval_index, ScoreScratch& scratch);
+
+/// Score a HeatMap straight from its counts: the projection pass converts
+/// each cell to double as it goes (so `analysis_time` includes the
+/// conversion) and leaves the double row in `scratch.raw`. Bit-identical to
+/// score_snapshot(snapshot, map.as_vector(), map.interval_index, scratch).
+Verdict score_snapshot(const ModelSnapshot& snapshot, const HeatMap& map,
+                       ScoreScratch& scratch);
 
 /// Structure-of-arrays batch for shard-at-a-time scoring: raw-map views in,
 /// verdict columns out. Inputs are spans — push() stores a view, so the

@@ -90,7 +90,8 @@ Session::Session(std::shared_ptr<detail::EngineShared> shared,
   }
 }
 
-void Session::refresh_model(std::uint64_t interval_index) {
+void Session::pick_up_model(std::uint64_t interval_index) {
+  if (shared_->epoch.load(std::memory_order_acquire) == epoch_) return;
   std::shared_ptr<const ModelSnapshot> fresh;
   std::uint64_t fresh_epoch;
   {
@@ -110,18 +111,24 @@ void Session::refresh_model(std::uint64_t interval_index) {
 
 Verdict Session::analyze(std::span<const double> raw,
                          std::uint64_t interval_index) {
-  // Interval-boundary pickup: one relaxed load per interval; the swap is
-  // adopted before this map is scored, so no map is ever dropped or scored
-  // against a retired snapshot after the boundary.
+  // The swap is adopted before this map is scored, so no map is ever
+  // dropped or scored against a retired snapshot after the boundary.
   PROF_ZONE(kAnalyze);
-  if (shared_->epoch.load(std::memory_order_acquire) != epoch_) {
-    refresh_model(interval_index);
-  }
+  pick_up_model(interval_index);
   const Verdict v = score_snapshot(*snap_, raw, interval_index, scratch_);
-  {
-    PROF_ZONE(kScoreObserve);
-    observe(v, raw);
-  }
+  PROF_ZONE(kScoreObserve);
+  observe(v, raw);
+  return v;
+}
+
+Verdict Session::analyze(const HeatMap& map) {
+  // Same body, scored straight from the counts: the projection pass leaves
+  // the double row in scratch_.raw for the observer.
+  PROF_ZONE(kAnalyze);
+  pick_up_model(map.interval_index);
+  const Verdict v = score_snapshot(*snap_, map, scratch_);
+  PROF_ZONE(kScoreObserve);
+  observe(v, scratch_.raw);
   return v;
 }
 
@@ -132,10 +139,6 @@ void Session::observe(const Verdict& v, std::span<const double> raw) {
     window_->offer(raw, v.interval_index, v.anomalous, status);
   }
   if (status_hook_) status_hook_(v.interval_index, status);
-}
-
-Verdict Session::analyze(const HeatMap& map) {
-  return analyze(map.as_vector(), map.interval_index);
 }
 
 std::vector<Verdict> Session::run(IntervalSource& source) {
@@ -168,10 +171,7 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
   {
     PROF_ZONE(kShardGather);
     for (std::size_t i = 0; i < sessions.size(); ++i) {
-      Session& s = *sessions[i];
-      if (s.shared_->epoch.load(std::memory_order_acquire) != s.epoch_) {
-        s.refresh_model(interval_indices[i]);
-      }
+      sessions[i]->pick_up_model(interval_indices[i]);
     }
     model = sessions.front()->snap_.get();
     for (Session* s : sessions) homogeneous &= (s->snap_.get() == model);

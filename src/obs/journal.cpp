@@ -12,25 +12,24 @@ void rank_cells_by_z(std::span<const double> raw, std::span<const double> mean,
   out.clear();
   const std::size_t keep = std::min(k, raw.size());
   if (keep == 0) return;
-  const auto z_of = [&](std::size_t i) {
-    return (raw[i] - mean[i]) / std::max(stddev[i], 1.0);
-  };
-  std::vector<std::size_t> order(raw.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(keep),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      const double za = std::abs(z_of(a));
-                      const double zb = std::abs(z_of(b));
-                      return za != zb ? za > zb : a < b;
-                    });
   out.reserve(keep);
-  for (std::size_t r = 0; r < keep; ++r) {
-    const std::size_t i = order[r];
-    out.push_back(CellContribution{.cell = i,
-                                   .observed = raw[i],
-                                   .expected = mean[i],
-                                   .z_score = z_of(i)});
+  // `out` is the k-slot buffer, held sorted by |z| descending. Cells arrive
+  // in ascending index order, so a new cell goes behind every equal |z|
+  // already kept (ties to the lower index) and displaces the last slot only
+  // when strictly larger.
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const double z = (raw[i] - mean[i]) / std::max(stddev[i], 1.0);
+    const double az = std::abs(z);
+    if (out.size() == keep) {
+      if (!(az > std::abs(out.back().z_score))) continue;
+      out.pop_back();
+    }
+    auto pos = out.end();
+    while (pos != out.begin() && az > std::abs((pos - 1)->z_score)) --pos;
+    out.insert(pos, CellContribution{.cell = i,
+                                     .observed = raw[i],
+                                     .expected = mean[i],
+                                     .z_score = z});
   }
 }
 

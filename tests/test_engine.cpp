@@ -412,6 +412,26 @@ TEST_F(EngineTest, ConcurrentSessionsBitIdenticalToSerial) {
   }
 }
 
+// The HeatMap entry point scores straight from the counts: verdict bits
+// equal scoring the as_vector() row, and the row it leaves in scratch.raw
+// is that row.
+TEST_F(EngineTest, ScoreFromCountsMatchesDoubleRowBitForBit) {
+  const ModelSnapshot& model = *pipe_->det().snapshot();
+  ScoreScratch from_counts;
+  ScoreScratch from_row;
+  for (const HeatMap& map : attacked_->maps) {
+    const std::vector<double> row = map.as_vector();
+    const Verdict got = score_snapshot(model, map, from_counts);
+    const Verdict want =
+        score_snapshot(model, row, map.interval_index, from_row);
+    EXPECT_EQ(got.interval_index, map.interval_index);
+    EXPECT_TRUE(verdict_bits_match(got, want))
+        << "interval " << map.interval_index;
+    EXPECT_EQ(from_counts.raw, row) << "interval " << map.interval_index;
+    EXPECT_EQ(from_counts.reduced, from_row.reduced);
+  }
+}
+
 // --- Batched SoA scoring: property + golden bit-identity pins. ---
 
 // Property: for every swept batch size, score_snapshot_batch over a

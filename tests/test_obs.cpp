@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "attacks/attacks.hpp"
+#include "common/rng.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm {
@@ -192,6 +193,51 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
     const auto rec = session.journal().find(v.interval_index);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->log10_density, v.log10_density);  // bit-for-bit
+  }
+}
+
+// rank_cells_by_z against the reference ranking — a full-index
+// partial_sort by |z| descending, ties to the lower index — on random
+// integer maps where |z| ties are common (floored spreads give integer z,
+// and +z / −z tie too).
+TEST(Journal, RankCellsByZMatchesPartialSortReference) {
+  Rng rng(0x2A11);
+  std::vector<obs::CellContribution> got;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t l = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<double> raw(l), mean(l), stddev(l);
+    for (std::size_t i = 0; i < l; ++i) {
+      raw[i] = static_cast<double>(rng.uniform_int(0, 12));
+      mean[i] = static_cast<double>(rng.uniform_int(0, 12));
+      stddev[i] = rng.bernoulli(0.7) ? rng.uniform(0.0, 1.0)
+                                     : static_cast<double>(rng.uniform_int(1, 3));
+    }
+    const auto z_of = [&](std::size_t i) {
+      return (raw[i] - mean[i]) / std::max(stddev[i], 1.0);
+    };
+    std::vector<std::size_t> order(l);
+    for (std::size_t i = 0; i < l; ++i) order[i] = i;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                                std::size_t{8}, l, l + 3}) {
+      const std::size_t keep = std::min(k, l);
+      std::partial_sort(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(keep),
+                        order.end(), [&](std::size_t a, std::size_t b) {
+                          const double za = std::abs(z_of(a));
+                          const double zb = std::abs(z_of(b));
+                          return za != zb ? za > zb : a < b;
+                        });
+      obs::rank_cells_by_z(raw, mean, stddev, k, got);
+      ASSERT_EQ(got.size(), keep) << "round " << round << " k " << k;
+      for (std::size_t r = 0; r < keep; ++r) {
+        const std::size_t i = order[r];
+        EXPECT_EQ(got[r].cell, i) << "round " << round << " k " << k
+                                  << " rank " << r;
+        EXPECT_EQ(got[r].observed, raw[i]);
+        EXPECT_EQ(got[r].expected, mean[i]);
+        EXPECT_EQ(got[r].z_score, z_of(i));
+      }
+    }
   }
 }
 

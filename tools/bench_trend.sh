@@ -31,10 +31,11 @@ prof_pct=$(num prof_overhead_pct)
 pca_fast_s=$(num train_pca_fast_seconds)
 pca_speedup=$(num pca_speedup_vs_exact)
 
-# Drop any earlier row for this commit (grep -v exits 1 when everything
-# matches — an empty survivor set is fine).
+# Drop any earlier row of this kind for this commit (its "git" is followed
+# by "mode"; perfbench rows keep theirs). grep -v exits 1 when everything
+# matches — an empty survivor set is fine.
 if [ -f "$out" ]; then
-  grep -v "\"git\":\"$git_rev\"" "$out" > "$out.tmp" || true
+  grep -v "\"git\":\"$git_rev\",\"mode\"" "$out" > "$out.tmp" || true
   mv "$out.tmp" "$out"
 fi
 
