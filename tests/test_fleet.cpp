@@ -454,6 +454,11 @@ TEST_F(FleetTest, ConcurrentScrapesDuringRun) {
       scrapes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Start the run only once the scraper is looping: a small fleet's run can
+  // finish before a freshly started thread is first scheduled.
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   runner.run_all();
   stop.store(true, std::memory_order_release);
   scraper.join();
