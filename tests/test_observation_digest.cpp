@@ -106,15 +106,14 @@ void hash_health(Fnv1a& h, const obs::ModelHealthMonitor* monitor) {
   h.u64(s.alarms);
   for (const double v :
        {s.alarm_rate, s.expected_p, s.wilson.low, s.wilson.high, s.cusum_pos,
-        s.cusum_neg, s.cusum_threshold, s.ph_stat, s.ph_lambda, s.score_mean,
-        s.score_stddev, s.score_q05, s.score_q50, s.score_q95, s.train_mean,
-        s.train_stddev, s.train_q05, s.train_q50, s.train_q95, s.spe_last,
-        s.spe_q50, s.spe_q95}) {
+        s.cusum_neg, s.cusum_threshold, s.score_mean, s.score_stddev,
+        s.score_q05, s.score_q50, s.score_q95, s.train_mean, s.train_stddev,
+        s.train_q05, s.train_q50, s.train_q95, s.spe_last, s.spe_q50,
+        s.spe_q95}) {
     h.f64(v);
   }
   h.u64(s.calibrated);
   h.u64(s.cusum_fired);
-  h.u64(s.ph_fired);
   h.f64s(s.component_weights);
   h.u64(s.component_occupancy.size());
   for (const std::uint64_t o : s.component_occupancy) h.u64(o);
@@ -213,9 +212,9 @@ constexpr const char* kStreams[] = {"normal", "app_addition", "shellcode"};
 
 /// Pinned digests, [stream][0 = default options, 1 = fleet_preset()].
 constexpr std::uint64_t kPinned[3][2] = {
-    {0x01ebc0ad697eb594ULL, 0x7adc2e3b8069e67fULL},
-    {0x249ae3ce79905678ULL, 0x0dd6c257b53f37ceULL},
-    {0xcad954fe04b3bdc0ULL, 0x4eda0d73e0fc0bebULL},
+    {0x4998c75120b00ef3ULL, 0x852893790866ceb0ULL},
+    {0x6d76238ecf80487eULL, 0x9cc2bbadf91864fcULL},
+    {0x251795f8c7c3eefaULL, 0x1bdfcaa229bb1979ULL},
 };
 
 std::string hex64(std::uint64_t v) {
