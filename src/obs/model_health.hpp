@@ -23,7 +23,7 @@ namespace mhm::obs {
 ///     residual / SPE) compared against the training-time validation scores;
 ///  2. per-component arg-max responsibility occupancy, so a mixture
 ///     component going dark or starting to dominate is visible;
-///  3. CUSUM and Page–Hinkley change detectors on the standardized score;
+///  3. a two-sided CUSUM change detector on the standardized score;
 ///  4. calibration: the empirical alarm rate vs the configured quantile p,
 ///     with Wilson-interval bounds.
 ///
@@ -91,34 +91,6 @@ class CusumDetector {
   bool fired_ = false;
 };
 
-/// Two-sided Page–Hinkley test: cumulative deviation from the running mean
-/// with slack δ, tracked against its running minimum; fires (and latches)
-/// when the excursion exceeds λ. Feed standardized observations so δ and λ
-/// are in σ units.
-class PageHinkleyDetector {
- public:
-  PageHinkleyDetector(double delta, double lambda)
-      : delta_(delta), lambda_(lambda) {}
-
-  bool add(double z);
-
-  /// Largest current excursion over both directions.
-  double statistic() const;
-  double lambda() const { return lambda_; }
-  bool fired() const { return fired_; }
-
- private:
-  double delta_;
-  double lambda_;
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m_up_ = 0.0;    ///< Cumulative (z − mean − δ): upward shifts.
-  double m_dn_ = 0.0;    ///< Cumulative (mean − z − δ): downward shifts.
-  double min_up_ = 0.0;
-  double min_dn_ = 0.0;
-  bool fired_ = false;
-};
-
 /// Wilson score interval for a binomial proportion at `z` standard normal
 /// quantiles — the calibration check asks whether the configured alarm
 /// quantile p is a plausible value for the observed alarm rate.
@@ -131,7 +103,7 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
 
 enum class ModelHealthStatus {
   kOk = 0,
-  kDrifting = 1,       ///< A drift detector on the score stream has fired.
+  kDrifting = 1,       ///< The CUSUM drift detector has fired.
   kMiscalibrated = 2,  ///< Configured p outside the Wilson alarm-rate bound.
 };
 const char* to_string(ModelHealthStatus status);
@@ -140,24 +112,18 @@ struct ModelHealthOptions {
   double expected_p = 0.01;   ///< Configured alarm quantile (θ_p's p).
   double cusum_k = 0.5;       ///< CUSUM slack, σ units.
   double cusum_h = 10.0;      ///< CUSUM decision threshold, σ units.
-  /// Page–Hinkley slack, σ units. On a unit-variance stream the excursion
-  /// statistic has an ~exp(−2δλ) stationary tail, so δ·λ must be large:
-  /// 0.5 × 20 keeps the false-fire chance near e⁻²⁰ while a sustained 3σ
-  /// shift still accumulates ~2.5σ per interval and fires within ten.
-  double ph_delta = 0.5;
-  double ph_lambda = 20.0;    ///< Page–Hinkley threshold, σ units.
   double wilson_z = 3.0;      ///< Calibration interval width (≈3σ).
   std::uint64_t min_intervals = 64;  ///< Calibration verdicts need this many.
   /// Intervals at the start of each run (interval_index < warmup) excluded
-  /// from the drift detectors. Cold-start heat maps score as extreme
-  /// outliers; Page–Hinkley's running mean would latch on them even though
-  /// steady-state behaviour is healthy. Quantiles, occupancy and
-  /// calibration still see every interval.
+  /// from the drift detector. Cold-start heat maps score as extreme
+  /// outliers; CUSUM would latch on them even though steady-state behaviour
+  /// is healthy. Quantiles, occupancy and calibration still see every
+  /// interval.
   std::uint64_t warmup = 10;
-  /// Winsorization bound for the standardized score fed to CUSUM /
-  /// Page–Hinkley, σ units: one freak interval cannot poison the running
-  /// mean, while a sustained shift still accumulates |z| ≤ z_clamp per
-  /// interval and fires within a few intervals.
+  /// Winsorization bound for the standardized score fed to CUSUM, σ units:
+  /// one freak interval cannot latch it, while a sustained shift still
+  /// accumulates |z| ≤ z_clamp per interval and fires within a few
+  /// intervals.
   double z_clamp = 8.0;
   std::size_t max_events = 32;  ///< Status-transition records kept.
 };
@@ -183,9 +149,6 @@ struct ModelHealthSnapshot {
   double cusum_neg = 0.0;
   double cusum_threshold = 0.0;
   bool cusum_fired = false;
-  double ph_stat = 0.0;
-  double ph_lambda = 0.0;
-  bool ph_fired = false;
   double score_mean = 0.0;
   double score_stddev = 0.0;
   double score_q05 = 0.0;
