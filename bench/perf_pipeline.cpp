@@ -348,9 +348,9 @@ int main() {
       history_on_seconds, history_off_seconds, history_incident_overhead_pct);
 
   // Continuous-profiler overhead: the serial analyze sweep with the stage
-  // zones live vs. MHM_PROF off, obs enabled on both sides so only the
-  // profiler is in the difference. A zone is one TSC read pair plus two
-  // relaxed fetch_adds (hardware counters ride decimated entries only), so
+  // scopes live vs. MHM_PROF off, obs enabled on both sides so only the
+  // profiler is in the difference. A scoring scope is one TSC read pair plus
+  // two relaxed fetch_adds (hardware counters ride decimated entries only), so
   // the gap shares the same <2% obs contract — and unlike the other legs it
   // is ENFORCED: the exit code fails when the paired best-of-3 exceeds 2%.
   // Profiling must also never perturb scoring — the on/off score vectors

@@ -9,7 +9,6 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 
 namespace mhm {
 
@@ -293,8 +292,7 @@ Gmm Gmm::from_components(std::vector<GmmComponent> components) {
 
 Gmm Gmm::fit(const std::vector<std::vector<double>>& data,
              const Options& options) {
-  OBS_SPAN("gmm.fit");
-  PROF_ZONE(kTrainEm);
+  OBS_SCOPE(kTrainEm);
   if (data.empty()) throw ConfigError("Gmm::fit: empty training set");
   const std::size_t n = data.size();
   const std::size_t d = data.front().size();
@@ -334,7 +332,7 @@ Gmm Gmm::fit(const std::vector<std::vector<double>>& data,
 
   for (std::size_t restart = 0; restart < std::max<std::size_t>(1, options.restarts);
        ++restart) {
-    OBS_SPAN("gmm.restart");
+    OBS_SCOPE(kGmmRestart);
     Rng rng = master.fork(restart + 1);
 
     // --- initialization: k-means++ means, shared spherical covariance ---

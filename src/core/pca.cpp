@@ -11,7 +11,6 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 
 namespace mhm {
 
@@ -104,7 +103,7 @@ Matrix gram_matrix(const std::vector<std::vector<double>>& xs,
 
 Eigenmemory Eigenmemory::fit(const std::vector<std::vector<double>>& training,
                              const Options& options) {
-  OBS_SPAN("pca.fit");
+  OBS_SCOPE(kPcaFit);
   if (training.empty()) {
     throw ConfigError("Eigenmemory::fit: empty training set");
   }
@@ -122,13 +121,13 @@ Eigenmemory Eigenmemory::fit(const std::vector<std::vector<double>>& training,
   const bool use_gram = options.allow_gram_trick && n < l;
   Matrix moment;
   {
-    PROF_ZONE(kTrainCovariance);
+    OBS_SCOPE(kTrainCovariance);
     moment = use_gram ? gram_matrix(training, em.mean_)
                       : covariance_direct(training, em.mean_);
   }
   linalg::SymmetricEigenResult eig;
   {
-    PROF_ZONE(kTrainEigensolve);
+    OBS_SCOPE(kTrainEigensolve);
     eig = linalg::eigen_symmetric(moment);
   }
 
@@ -415,7 +414,7 @@ void orthonormalize_columns(std::vector<double>& q, std::size_t m) {
 Eigenmemory Eigenmemory::fit_topk(
     const std::vector<std::vector<double>>& training,
     const TopkOptions& options) {
-  OBS_SPAN("pca.fit_topk");
+  OBS_SCOPE(kPcaFitTopk);
   if (training.empty()) {
     throw ConfigError("Eigenmemory::fit_topk: empty training set");
   }
@@ -463,7 +462,7 @@ Eigenmemory Eigenmemory::fit_topk(
   std::vector<double> q(l * m);
   std::vector<double> z;
   {
-    PROF_ZONE(kTrainCovariance);
+    OBS_SCOPE(kTrainCovariance);
     Rng rng(options.seed);
     // Ω is drawn row by row into its L × m slab.
     std::vector<double> omega(l * m);
@@ -482,7 +481,7 @@ Eigenmemory Eigenmemory::fit_topk(
   // eigensolve recovers the eigenpairs inside the captured subspace.
   linalg::SymmetricEigenResult eig;
   {
-    PROF_ZONE(kTrainEigensolve);
+    OBS_SCOPE(kTrainEigensolve);
     data_times_basis(phis, q, m, z);
     Matrix b(m, m, 0.0);
     const double inv_n = 1.0 / static_cast<double>(n);
@@ -1041,7 +1040,7 @@ std::vector<double> Eigenmemory::project(const HeatMap& map) const {
 
 std::vector<std::vector<double>> Eigenmemory::project_all(
     const std::vector<std::vector<double>>& maps) const {
-  OBS_SPAN("pca.project_all");
+  OBS_SCOPE(kPcaProjectAll);
   std::vector<std::vector<double>> out(maps.size());
   parallel_for(maps.size(), 0, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {

@@ -54,14 +54,14 @@ Verdict score_with(const ModelSnapshot& snapshot, std::uint64_t interval_index,
   const auto t0 = std::chrono::steady_clock::now();
   double phi_sq;
   {
-    PROF_ZONE(kScoreProject);
+    OBS_SCOPE(kScoreProject);
     scratch.reduced.resize(snapshot.pca.components());
     phi_sq = project();
   }
   double log10_density;
   std::size_t pattern;
   {
-    PROF_ZONE(kScoreGmm);
+    OBS_SCOPE(kScoreGmm);
     const double ln_density = snapshot.gmm.responsibilities_into(
         scratch.reduced, scratch.gmm, scratch.gamma);
     log10_density = ln_density / kLn10;
@@ -82,7 +82,7 @@ Verdict score_with(const ModelSnapshot& snapshot, std::uint64_t interval_index,
   // SPE: the basis rows are orthonormal, so the reconstruction residual
   // ‖Φ − B^T w‖² is ‖Φ‖² − ‖w‖² — no reconstruction, no allocation.
   // Untimed: analysis_time stays the §5.4 measurement.
-  PROF_ZONE(kScoreSpe);
+  OBS_SCOPE(kScoreSpe);
   double w_sq = 0.0;
   for (double c : scratch.reduced) w_sq += c * c;
   v.spe = std::max(0.0, phi_sq - w_sq);
@@ -156,12 +156,12 @@ void score_snapshot_batch(const ModelSnapshot& snapshot, ScoreBatch& batch,
   // verdict columns; the SPE identity stays outside the clock.
   const auto t0 = std::chrono::steady_clock::now();
   {
-    PROF_ZONE(kScoreProject);
+    OBS_SCOPE(kScoreProject);
     snapshot.pca.project_batch(batch.raws(), batch.phi, batch.reduced,
                                &scratch.phi_sq);
   }
   {
-    PROF_ZONE(kScoreGmm);
+    OBS_SCOPE(kScoreGmm);
     batch.ln_density.resize(n);
     snapshot.gmm.responsibilities_batch(batch.reduced, n, scratch.gmm,
                                         batch.terms, batch.gamma,
@@ -192,7 +192,7 @@ void score_snapshot_batch(const ModelSnapshot& snapshot, ScoreBatch& batch,
 
   // SPE columns: ‖Φ‖² was folded into the projection pass; ‖w‖² accumulates
   // here in ascending-k order — the serial loop over scratch.reduced.
-  PROF_ZONE(kScoreSpe);
+  OBS_SCOPE(kScoreSpe);
   const std::size_t k_count = snapshot.pca.components();
   scratch.w_sq.assign(n, 0.0);
   batch.spe.resize(n);

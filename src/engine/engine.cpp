@@ -113,10 +113,10 @@ Verdict Session::analyze(std::span<const double> raw,
                          std::uint64_t interval_index) {
   // The swap is adopted before this map is scored, so no map is ever
   // dropped or scored against a retired snapshot after the boundary.
-  PROF_ZONE(kAnalyze);
+  OBS_SCOPE(kAnalyze);
   pick_up_model(interval_index);
   const Verdict v = score_snapshot(*snap_, raw, interval_index, scratch_);
-  PROF_ZONE(kScoreObserve);
+  OBS_SCOPE(kScoreObserve);
   observe(v, raw);
   return v;
 }
@@ -124,10 +124,10 @@ Verdict Session::analyze(std::span<const double> raw,
 Verdict Session::analyze(const HeatMap& map) {
   // Same body, scored straight from the counts: the projection pass leaves
   // the double row in scratch_.raw for the observer.
-  PROF_ZONE(kAnalyze);
+  OBS_SCOPE(kAnalyze);
   pick_up_model(map.interval_index);
   const Verdict v = score_snapshot(*snap_, map, scratch_);
-  PROF_ZONE(kScoreObserve);
+  OBS_SCOPE(kScoreObserve);
   observe(v, scratch_.raw);
   return v;
 }
@@ -160,16 +160,16 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
   if (sessions.empty()) return;
 
   // One analyze umbrella per shard call; the serial-fallback sessions open
-  // nested analyze zones that the profiler records only at this outermost
+  // nested analyze scopes that the profiler records only at this outermost
   // level.
-  PROF_ZONE(kAnalyze);
+  OBS_SCOPE(kAnalyze);
 
   // Gather: interval-boundary model pickup per session, in session order —
   // exactly the check each session's own analyze() would have run first.
   const ModelSnapshot* model;
   bool homogeneous = true;
   {
-    PROF_ZONE(kShardGather);
+    OBS_SCOPE(kShardGather);
     for (std::size_t i = 0; i < sessions.size(); ++i) {
       sessions[i]->pick_up_model(interval_indices[i]);
     }
@@ -188,7 +188,7 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
   }
 
   {
-    PROF_ZONE(kShardGather);
+    OBS_SCOPE(kShardGather);
     workspace.batch.clear(model->pca.input_dim());
     for (std::size_t i = 0; i < sessions.size(); ++i) {
       workspace.batch.push(raws[i], interval_indices[i]);
@@ -198,7 +198,7 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
 
   // Scatter in session order: each verdict flows through its own session's
   // observer exactly as its serial analyze() would have recorded it.
-  PROF_ZONE(kShardScatter);
+  OBS_SCOPE(kShardScatter);
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     Session& s = *sessions[i];
     const Verdict v = workspace.batch.verdict(i);

@@ -142,17 +142,6 @@ std::string metrics_json_lines(const Registry& registry) {
   return os.str();
 }
 
-std::string spans_json_lines(const SpanBuffer& buffer) {
-  std::ostringstream os;
-  for (const auto& s : buffer.snapshot()) {
-    os << "{\"id\":" << s.id << ",\"parent\":" << s.parent_id << ",\"name\":\""
-       << json_escape(s.name) << "\",\"thread_shard\":" << s.thread_shard
-       << ",\"start_ns\":" << s.start_ns
-       << ",\"duration_ns\":" << s.duration_ns << "}\n";
-  }
-  return os.str();
-}
-
 std::string decision_json(const DecisionRecord& r) {
   std::ostringstream os;
   os << "{\"interval\":" << r.interval_index << ",\"phase\":" << r.phase

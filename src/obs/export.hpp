@@ -4,7 +4,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mhm::obs {
 
@@ -35,10 +34,6 @@ void append_prometheus_gauge(std::string& out, const std::string& name,
 /// One JSON object per line, one line per metric.
 std::string metrics_json_lines(
     const Registry& registry = Registry::instance());
-
-/// One JSON object per line, one line per retained span (oldest first).
-std::string spans_json_lines(
-    const SpanBuffer& buffer = SpanBuffer::instance());
 
 /// One JSON object per line, one line per retained decision (oldest first).
 std::string journal_json_lines(const DecisionJournal& journal);

@@ -1,25 +1,5 @@
 #include "obs/prof.hpp"
 
-namespace mhm::obs::prof {
-
-const char* stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::kAnalyze: return "analyze";
-    case Stage::kScoreProject: return "score.project";
-    case Stage::kScoreGmm: return "score.gmm";
-    case Stage::kScoreSpe: return "score.spe";
-    case Stage::kScoreObserve: return "score.observe";
-    case Stage::kShardGather: return "shard.gather";
-    case Stage::kShardScatter: return "shard.scatter";
-    case Stage::kTrainCovariance: return "train.covariance";
-    case Stage::kTrainEigensolve: return "train.eigensolve";
-    case Stage::kTrainEm: return "train.em";
-  }
-  return "unknown";
-}
-
-}  // namespace mhm::obs::prof
-
 #if !defined(MHM_OBS_DISABLED)
 
 #include <time.h>
@@ -38,6 +18,7 @@ const char* stage_name(Stage stage) {
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #include <linux/perf_event.h>
@@ -58,7 +39,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Per-stage sharded accumulators (the metrics registry's fold discipline).
 
-/// Exactly one cache line: eight u64 fields. A zone exit touches only its
+/// Exactly one cache line: eight u64 fields. A scope exit touches only its
 /// thread's shard slot, so the hot path never bounces lines between threads.
 struct alignas(64) StageShard {
   std::atomic<std::uint64_t> entries{0};
@@ -208,7 +189,7 @@ Source probe_source() {
   return result;
 }
 
-/// Per-thread zone state: nesting depth and decimation counter per stage,
+/// Per-thread scope state: nesting depth and decimation counter per stage,
 /// plus the thread's (lazily opened) perf group.
 struct ThreadProfState {
   std::uint32_t depth[kStageCount] = {};
@@ -222,6 +203,10 @@ struct ThreadProfState {
   }
 };
 thread_local ThreadProfState tl_prof;
+
+std::atomic<std::uint64_t> g_next_span_id{1};
+/// Innermost open traced scope of the calling thread (0 = none).
+thread_local std::uint64_t tl_current_span = 0;
 
 int thread_group_fd() {
   ThreadProfState& st = tl_prof;
@@ -317,34 +302,48 @@ void sampler_loop(double hz) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Export helpers.
-
-bool is_scoring_stage(std::size_t s) {
-  const auto stage = static_cast<Stage>(s);
-  return stage == Stage::kScoreProject || stage == Stage::kScoreGmm ||
-         stage == Stage::kScoreSpe || stage == Stage::kScoreObserve;
+/// Shadow-stack hooks. `name` must outlive the process (stage-table
+/// literals). Push returns false when the sampler is inactive or the stack
+/// is full — the caller then skips the matching pop.
+bool sampler_push_frame(const char* name) {
+  if (!g_sampler_active.load(std::memory_order_relaxed)) return false;
+  ThreadStack* st = claim_stack();
+  if (st == nullptr) return false;
+  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
+  if (depth >= kMaxFrames) return false;
+  st->frames[depth].store(name, std::memory_order_relaxed);
+  st->depth.store(depth + 1, std::memory_order_release);
+  return true;
 }
 
-bool is_attributed_stage(std::size_t s) {
-  const auto stage = static_cast<Stage>(s);
-  return is_scoring_stage(s) || stage == Stage::kShardGather ||
-         stage == Stage::kShardScatter;
+void sampler_pop_frame() {
+  ThreadStack* st = claim_stack();
+  if (st == nullptr) return;
+  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
+  if (depth > 0) st->depth.store(depth - 1, std::memory_order_release);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ZoneScope.
+// Scope.
 
-ZoneScope::ZoneScope(Stage stage) {
-  if (!enabled() || !prof_flag().load(std::memory_order_relaxed)) return;
+Scope::Scope(Stage stage) {
+  if (!enabled()) return;
   const auto s = static_cast<std::size_t>(stage);
   ThreadProfState& st = tl_prof;
   stage_ = static_cast<std::uint8_t>(s);
-  if (st.depth[s]++ != 0) return;  // Nested same-stage zone: depth only.
+  if (st.depth[s]++ != 0) return;  // Nested same-stage scope: depth only.
   outer_ = true;
-  pushed_ = sampler_push_frame(stage_name(stage));
+  pushed_ = sampler_push_frame(kStages[s].name);
+  if (kStages[s].kind == StageKind::kTraced) {
+    id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+    parent_ = tl_current_span;
+    tl_current_span = id_;
+    start_ns_ = steady_ns();
+  }
+  if (!prof_flag().load(std::memory_order_relaxed)) return;
+  timed_ = true;
   const std::uint64_t n = st.entry_count[s]++;
   if (sample_this_entry(n)) {
     sampled_ = true;
@@ -358,34 +357,46 @@ ZoneScope::ZoneScope(Stage stage) {
   start_ticks_ = read_ticks();
 }
 
-ZoneScope::~ZoneScope() {
+Scope::~Scope() {
   if (stage_ == 0xff) return;
   const std::size_t s = stage_;
   --tl_prof.depth[s];
   if (!outer_) return;
-  const std::uint64_t dt = read_ticks() - start_ticks_;
-  StageShard& shard = g_stages[s][thread_shard()];
-  shard.entries.fetch_add(1, std::memory_order_relaxed);
-  shard.ticks.fetch_add(dt, std::memory_order_relaxed);
-  if (sampled_) {
-    if (probe_source() == Source::kPerf) {
-      std::uint64_t end_counters[4];
-      const int fd = thread_group_fd();
-      if (fd >= 0 && read_group(fd, end_counters)) {
-        shard.cycles.fetch_add(end_counters[0] - start_counters_[0],
+  if (timed_) {
+    const std::uint64_t dt = read_ticks() - start_ticks_;
+    StageShard& shard = g_stages[s][thread_shard()];
+    shard.entries.fetch_add(1, std::memory_order_relaxed);
+    shard.ticks.fetch_add(dt, std::memory_order_relaxed);
+    if (sampled_) {
+      if (probe_source() == Source::kPerf) {
+        std::uint64_t end_counters[4];
+        const int fd = thread_group_fd();
+        if (fd >= 0 && read_group(fd, end_counters)) {
+          shard.cycles.fetch_add(end_counters[0] - start_counters_[0],
+                                 std::memory_order_relaxed);
+          shard.instructions.fetch_add(end_counters[1] - start_counters_[1],
+                                       std::memory_order_relaxed);
+          shard.cache_misses.fetch_add(end_counters[2] - start_counters_[2],
+                                       std::memory_order_relaxed);
+          shard.branch_misses.fetch_add(end_counters[3] - start_counters_[3],
+                                        std::memory_order_relaxed);
+          shard.samples.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else {
+        shard.cpu_ns.fetch_add(thread_cpu_ns() - start_cpu_ns_,
                                std::memory_order_relaxed);
-        shard.instructions.fetch_add(end_counters[1] - start_counters_[1],
-                                     std::memory_order_relaxed);
-        shard.cache_misses.fetch_add(end_counters[2] - start_counters_[2],
-                                     std::memory_order_relaxed);
-        shard.branch_misses.fetch_add(end_counters[3] - start_counters_[3],
-                                      std::memory_order_relaxed);
         shard.samples.fetch_add(1, std::memory_order_relaxed);
       }
-    } else {
-      shard.cpu_ns.fetch_add(thread_cpu_ns() - start_cpu_ns_,
-                             std::memory_order_relaxed);
-      shard.samples.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (id_ != 0) {
+    tl_current_span = parent_;
+    // If observability was switched off while the scope was open, drop the
+    // span — the invariant is "no records arrive while disabled".
+    if (enabled()) {
+      SpanBuffer::instance().record(SpanRecord{id_, parent_, kStages[s].name,
+                                               thread_shard(), start_ns_,
+                                               steady_ns() - start_ns_});
     }
   }
   if (pushed_) sampler_pop_frame();
@@ -420,24 +431,6 @@ std::uint64_t thread_work_counter() {
 
 // ---------------------------------------------------------------------------
 // Sampler lifecycle and hooks.
-
-bool sampler_push_frame(const char* name) {
-  if (!g_sampler_active.load(std::memory_order_relaxed)) return false;
-  ThreadStack* st = claim_stack();
-  if (st == nullptr) return false;
-  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
-  if (depth >= kMaxFrames) return false;
-  st->frames[depth].store(name, std::memory_order_relaxed);
-  st->depth.store(depth + 1, std::memory_order_release);
-  return true;
-}
-
-void sampler_pop_frame() {
-  ThreadStack* st = claim_stack();
-  if (st == nullptr) return;
-  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
-  if (depth > 0) st->depth.store(depth - 1, std::memory_order_release);
-}
 
 void start_sampler(double hz) {
   if (!enabled()) return;
@@ -476,7 +469,7 @@ std::vector<StageSnapshot> snapshot_stages() {
   std::vector<StageSnapshot> out(kStageCount);
   for (std::size_t s = 0; s < kStageCount; ++s) {
     StageSnapshot& snap = out[s];
-    snap.name = stage_name(static_cast<Stage>(s));
+    snap.name = kStages[s].name;
     std::uint64_t ticks = 0;
     for (std::size_t i = 0; i < kShards; ++i) {  // Slot order 0..15.
       const StageShard& shard = g_stages[s][i];
@@ -508,13 +501,14 @@ std::string profile_json() {
   const char* top_scoring = "";
   std::uint64_t top_scoring_wall = 0;
   for (std::size_t s = 0; s < kStageCount; ++s) {
-    if (is_attributed_stage(s)) attributed_wall += stages[s].wall_ns;
-    if (s != static_cast<std::size_t>(Stage::kAnalyze) &&
+    const bool attributed = kStages[s].kind == StageKind::kAttributed;
+    if (attributed) attributed_wall += stages[s].wall_ns;
+    if (kStages[s].kind != StageKind::kUmbrella &&
         stages[s].wall_ns > top_wall) {
       top_wall = stages[s].wall_ns;
       top_stage = stages[s].name;
     }
-    if (is_attributed_stage(s) && stages[s].wall_ns > top_scoring_wall) {
+    if (attributed && stages[s].wall_ns > top_scoring_wall) {
       top_scoring_wall = stages[s].wall_ns;
       top_scoring = stages[s].name;
     }
@@ -588,25 +582,18 @@ std::string collapsed_stacks() {
     }
   }
   // No samples yet (sampler off or just started): derive stacks from the
-  // zone accumulators so the collapsed format is always loadable. Weights
+  // stage accumulators so the collapsed format is always loadable. Weights
   // are microseconds of stage wall time.
   const std::vector<StageSnapshot> stages = snapshot_stages();
   std::string out;
   for (std::size_t s = 0; s < kStageCount; ++s) {
     const StageSnapshot& snap = stages[s];
     if (snap.wall_ns == 0) continue;
-    const std::uint64_t weight = std::max<std::uint64_t>(
-        1, snap.wall_ns / 1000);
-    if (s == static_cast<std::size_t>(Stage::kAnalyze)) {
-      append_fmt(out, "analyze %llu\n",
-                 static_cast<unsigned long long>(weight));
-    } else if (is_attributed_stage(s)) {
-      append_fmt(out, "analyze;%s %llu\n", snap.name,
-                 static_cast<unsigned long long>(weight));
-    } else {
-      append_fmt(out, "train;%s %llu\n", snap.name,
-                 static_cast<unsigned long long>(weight));
-    }
+    append_fmt(out, "%s%s %llu\n",
+               kStages[s].kind == StageKind::kAttributed ? "analyze;" : "",
+               snap.name,
+               static_cast<unsigned long long>(
+                   std::max<std::uint64_t>(1, snap.wall_ns / 1000)));
   }
   return out;
 }
@@ -638,64 +625,6 @@ std::string dump_section() {
                static_cast<unsigned long long>(snap.cpu_ns));
   }
   return out;
-}
-
-void refresh_registry_metrics() {
-  if (!enabled()) return;
-  struct StageGauges {
-    Gauge* entries;
-    Gauge* wall_seconds;
-    Gauge* ipc;
-    Gauge* cache_misses;
-  };
-  static const auto* gauges = [] {
-    auto* v = new std::vector<StageGauges>;
-    Registry& reg = Registry::instance();
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      const std::string base =
-          std::string("prof.") + stage_name(static_cast<Stage>(s));
-      v->push_back(StageGauges{
-          &reg.gauge(base + ".entries", "zone entries recorded"),
-          &reg.gauge(base + ".wall_seconds", "summed stage wall time"),
-          &reg.gauge(base + ".ipc",
-                     "instructions per cycle over sampled entries"),
-          &reg.gauge(base + ".cache_misses",
-                     "cache misses over sampled entries"),
-      });
-    }
-    return v;
-  }();
-  static Gauge& fraction_gauge = Registry::instance().gauge(
-      "prof.attributed_fraction",
-      "share of analyze wall time attributed to named stages");
-  static Gauge& source_gauge = Registry::instance().gauge(
-      "prof.counter_source_perf",
-      "1 when perf_event counters are live, 0 on thread-cputime fallback");
-
-  const std::vector<StageSnapshot> stages = snapshot_stages();
-  std::uint64_t analyze_wall = 0;
-  std::uint64_t attributed_wall = 0;
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    const StageSnapshot& snap = stages[s];
-    const StageGauges& g = (*gauges)[s];
-    g.entries->set(static_cast<double>(snap.entries));
-    g.wall_seconds->set(static_cast<double>(snap.wall_ns) * 1e-9);
-    g.ipc->set(snap.cycles > 0
-                   ? static_cast<double>(snap.instructions) /
-                         static_cast<double>(snap.cycles)
-                   : 0.0);
-    g.cache_misses->set(static_cast<double>(snap.cache_misses));
-    if (s == static_cast<std::size_t>(Stage::kAnalyze)) {
-      analyze_wall = snap.wall_ns;
-    } else if (is_attributed_stage(s)) {
-      attributed_wall += snap.wall_ns;
-    }
-  }
-  fraction_gauge.set(analyze_wall > 0
-                         ? static_cast<double>(attributed_wall) /
-                               static_cast<double>(analyze_wall)
-                         : 0.0);
-  source_gauge.set(probe_source() == Source::kPerf ? 1.0 : 0.0);
 }
 
 void reset() {

@@ -234,11 +234,9 @@ void MonitorServer::Impl::respond(int fd, const std::string& target) {
       qmark == std::string::npos ? "" : target.substr(qmark + 1);
 
   if (path == "/metrics") {
-    // Scrape-time push: fold the profiler accumulators into prof.* gauges
-    // so zones never touch the registry on the hot path. The model_health.*
-    // gauges are rendered from this server's monitor the same way, so no
-    // other session's monitor can overwrite them.
-    prof::refresh_registry_metrics();
+    // The model_health.* gauges are rendered at scrape time from this
+    // server's monitor, so no other session's monitor can overwrite them.
+    // The stage table is served by /profile only.
     std::shared_ptr<const ModelHealthMonitor> monitor;
     {
       std::lock_guard<std::mutex> lk(journal_mu);

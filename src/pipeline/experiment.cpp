@@ -14,8 +14,8 @@
 #include "common/parallel.hpp"
 #include "engine/sim_source.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "obs/server.hpp"
-#include "obs/trace.hpp"
 
 namespace mhm::pipeline {
 
@@ -90,7 +90,7 @@ PipelineMetrics& pipeline_metrics() {
 
 HeatMapTrace collect_normal_trace(const sim::SystemConfig& config,
                                   const ProfilingPlan& plan) {
-  OBS_SPAN("pipeline.collect_normal_trace");
+  OBS_SCOPE(kPipelineCollect);
   // Each profiling run is an independent seeded system; simulate them
   // concurrently (grain 1 = one run per chunk) and concatenate in seed
   // order, which reproduces the serial trace exactly.
@@ -254,11 +254,11 @@ std::vector<ScenarioRun> run_scenarios(const sim::SystemConfig& config,
 TrainedPipeline train_pipeline(const sim::SystemConfig& config,
                                const ProfilingPlan& plan,
                                const AnomalyDetector::Options& options) {
-  OBS_SPAN("pipeline.train");
+  OBS_SCOPE(kPipelineTrain);
   obs::MonitorServer::ensure_env_server();
   TrainedPipeline out;
   {
-    OBS_SPAN("pipeline.train.profile_training");
+    OBS_SCOPE(kPipelineProfileTraining);
     out.training = collect_normal_trace(config, plan);
   }
 
@@ -267,11 +267,11 @@ TrainedPipeline train_pipeline(const sim::SystemConfig& config,
   validation_plan.runs = std::max<std::size_t>(1, plan.runs / 5);
   validation_plan.seed_base = plan.seed_base + plan.runs + 1000;
   {
-    OBS_SPAN("pipeline.train.profile_validation");
+    OBS_SCOPE(kPipelineProfileValidation);
     out.validation = collect_normal_trace(config, validation_plan);
   }
 
-  OBS_SPAN("pipeline.train.fit_detector");
+  OBS_SCOPE(kPipelineFitDetector);
   out.detector = std::make_unique<AnomalyDetector>(
       AnomalyDetector::train(out.training, out.validation, options));
   out.theta_05 = out.detector->thresholds().theta_05();

@@ -2,6 +2,7 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -112,10 +113,12 @@ TEST(Spans, NestingRecordsParentIds) {
   std::uint64_t outer_id = 0;
   std::uint64_t inner_id = 0;
   {
-    obs::SpanScope outer("test.outer");
+    // What OBS_SCOPE(kPipelineTrain) / OBS_SCOPE(kPcaFit) expand to, named
+    // so the test can read the span ids.
+    obs::prof::Scope outer(obs::prof::Stage::kPipelineTrain);
     outer_id = outer.id();
     {
-      obs::SpanScope inner("test.inner");
+      obs::prof::Scope inner(obs::prof::Stage::kPcaFit);
       inner_id = inner.id();
     }
   }
@@ -124,10 +127,10 @@ TEST(Spans, NestingRecordsParentIds) {
   const auto spans = obs::SpanBuffer::instance().snapshot();
   // Children close before parents, so the inner span is recorded first.
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_STREQ(spans[0].name, "test.inner");
+  EXPECT_STREQ(spans[0].name, "pca.fit");
   EXPECT_EQ(spans[0].id, inner_id);
   EXPECT_EQ(spans[0].parent_id, outer_id);
-  EXPECT_STREQ(spans[1].name, "test.outer");
+  EXPECT_STREQ(spans[1].name, "pipeline.train");
   EXPECT_EQ(spans[1].parent_id, 0u);
   EXPECT_GE(spans[1].duration_ns, spans[0].duration_ns);
 }
@@ -141,7 +144,7 @@ TEST(Spans, RingWrapsAroundKeepingNewest) {
   buffer.set_capacity(8);
   const std::uint64_t before = buffer.total_recorded();
   for (int i = 0; i < 20; ++i) {
-    OBS_SPAN("test.wrap");
+    OBS_SCOPE(kGmmRestart);
   }
   const auto spans = buffer.snapshot();
   EXPECT_EQ(spans.size(), 8u);
@@ -263,7 +266,7 @@ TEST(KillSwitch, DisabledLayerRecordsNothing) {
 
   obs::SpanBuffer::instance().clear();
   {
-    obs::SpanScope span("test.disabled.span");
+    obs::prof::Scope span(obs::prof::Stage::kPcaFit);
     EXPECT_EQ(span.id(), 0u);
   }
   EXPECT_TRUE(obs::SpanBuffer::instance().snapshot().empty());

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/build_info.hpp"
@@ -199,10 +200,8 @@ TEST(ChromeTrace, RealSpansNestByParentId) {
   SpanBuffer& buf = SpanBuffer::instance();
   buf.clear();
   {
-    SpanScope outer("outer_scope");
-    SpanScope inner("inner_scope");
-    (void)outer;
-    (void)inner;
+    OBS_SCOPE(kPipelineTrain);
+    OBS_SCOPE(kPcaFitTopk);
   }
   const std::string json = chrome_trace_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
@@ -224,23 +223,22 @@ TEST(ChromeTrace, ConcurrentExportStaysValidAndNestsPerThread) {
   SpanBuffer& buf = SpanBuffer::instance();
   buf.clear();
 
-  // Four worker threads each emit known outer/inner span pairs while two
-  // exporter threads serialize the ring — every concurrently exported
-  // document must already be well-formed, not just the final one.
+  // Four worker threads each emit outer/inner scope pairs, noting the
+  // span ids, while two exporter threads serialize the ring — every
+  // concurrently exported document must already be well-formed, not just
+  // the final one.
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kPairsPerWorker = 32;
-  static const char* kOuterNames[kWorkers] = {"w0.outer", "w1.outer",
-                                              "w2.outer", "w3.outer"};
-  static const char* kInnerNames[kWorkers] = {"w0.inner", "w1.inner",
-                                              "w2.inner", "w3.inner"};
+  /// (outer id, inner id) per pair, per worker.
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> pairs(
+      kWorkers);
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([w] {
+    threads.emplace_back([&pairs, w] {
       for (std::size_t i = 0; i < kPairsPerWorker; ++i) {
-        SpanScope outer(kOuterNames[w]);
-        SpanScope inner(kInnerNames[w]);
-        (void)outer;
-        (void)inner;
+        prof::Scope outer(prof::Stage::kPipelineTrain);
+        prof::Scope inner(prof::Stage::kGmmRestart);
+        pairs[w].emplace_back(outer.id(), inner.id());
       }
     });
   }
@@ -256,26 +254,24 @@ TEST(ChromeTrace, ConcurrentExportStaysValidAndNestsPerThread) {
 
   const std::string json = chrome_trace_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    EXPECT_NE(json.find(kInnerNames[w]), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"gmm.restart\""), std::string::npos);
 
-  // Parent linkage is per-thread: every wN.inner span must point at a
-  // wN.outer span of the same worker, never at another thread's span.
+  // Parent linkage is per-thread: every inner span must point at the outer
+  // span its own worker opened, never at another thread's span.
   const std::vector<SpanRecord> records = buf.snapshot();
   ASSERT_EQ(records.size(), kWorkers * kPairsPerWorker * 2);
   std::size_t inners = 0;
-  for (const SpanRecord& rec : records) {
-    const std::string name = rec.name;
-    if (name.find(".inner") == std::string::npos) continue;
-    ++inners;
-    ASSERT_NE(rec.parent_id, 0u) << name;
-    const auto parent =
-        std::find_if(records.begin(), records.end(),
-                     [&](const SpanRecord& r) { return r.id == rec.parent_id; });
-    ASSERT_NE(parent, records.end()) << name;
-    EXPECT_EQ(std::string(parent->name),
-              name.substr(0, 2) + ".outer") << name;
+  for (const auto& worker : pairs) {
+    ASSERT_EQ(worker.size(), kPairsPerWorker);
+    for (const auto& [outer_id, inner_id] : worker) {
+      const auto inner =
+          std::find_if(records.begin(), records.end(),
+                       [&](const SpanRecord& r) { return r.id == inner_id; });
+      ASSERT_NE(inner, records.end()) << inner_id;
+      EXPECT_STREQ(inner->name, "gmm.restart");
+      EXPECT_EQ(inner->parent_id, outer_id) << inner_id;
+      ++inners;
+    }
   }
   EXPECT_EQ(inners, kWorkers * kPairsPerWorker);
   buf.clear();
@@ -476,14 +472,14 @@ TEST_F(MonitorServerTest, TraceServesChromeTraceJson) {
 }
 
 TEST_F(MonitorServerTest, ProfileServesJsonAndCollapsedFormats) {
-  // The profiler needs at least one recorded zone so both formats have
+  // The profiler needs at least one recorded scope so both formats have
   // content; the route itself is always live (like /version).
   const bool prof_was = prof::prof_enabled();
   prof::set_prof_enabled(true);
   prof::reset();
   {
-    PROF_ZONE(kAnalyze);
-    PROF_ZONE(kScoreProject);
+    OBS_SCOPE(kAnalyze);
+    OBS_SCOPE(kScoreProject);
     volatile std::uint64_t acc = 0;
     for (std::uint64_t i = 0; i < 2'000'000; ++i) acc = acc + i;
   }
