@@ -1,7 +1,5 @@
 #pragma once
 
-#include <deque>
-
 #include "engine/source.hpp"
 #include "sim/system.hpp"
 
@@ -11,16 +9,17 @@ namespace mhm::engine {
 /// simulation one monitoring interval at a time (chunked run_for — the
 /// scheduler's event loop makes chunked stepping bit-identical to one long
 /// run) until the Memometer completes a map or the budgeted duration is
-/// exhausted. The system keeps accumulating its own trace_, so callers can
-/// still take_trace() after draining the source.
+/// exhausted.
 ///
-/// Occupies the system's single interval-observer slot for its lifetime
-/// (restored to empty on destruction).
+/// The source drains the system's trace: after each step it moves the
+/// completed maps out with take_trace() and yields them in order, so each
+/// map exists once and the system's trace stays empty behind it. Maps
+/// already in the trace when the source is built are yielded first. The
+/// system's interval-observer slot is left free.
 class SimIntervalSource final : public IntervalSource {
  public:
   /// Will simulate up to `duration` from the system's current now().
   SimIntervalSource(sim::System& system, SimTime duration);
-  ~SimIntervalSource() override;
 
   SimIntervalSource(const SimIntervalSource&) = delete;
   SimIntervalSource& operator=(const SimIntervalSource&) = delete;
@@ -34,7 +33,8 @@ class SimIntervalSource final : public IntervalSource {
   sim::System& system_;
   SimTime interval_;
   SimTime remaining_;
-  std::deque<HeatMap> pending_;
+  HeatMapTrace pending_;     ///< Maps taken from the system.
+  std::size_t cursor_ = 0;   ///< Next map of pending_ to yield.
 };
 
 }  // namespace mhm::engine

@@ -200,8 +200,8 @@ ScenarioRun run_scenario(const sim::SystemConfig& config,
     if (session != nullptr) {
       result.verdicts.push_back(session->analyze(item->map));
     }
+    result.maps.push_back(std::move(item->map));
   }
-  result.maps = system.take_trace();
   return result;
 }
 
