@@ -1,6 +1,5 @@
 #include "core/heatmap.hpp"
 
-#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -17,18 +16,6 @@ void MhmConfig::validate() const {
 }
 
 MhmConfig MhmConfig::paper_default() { return MhmConfig{}; }
-
-void HeatMap::increment(std::size_t cell, std::uint64_t by) {
-  MHM_ASSERT(cell < counts_.size(), "HeatMap::increment: cell out of range");
-  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  // Saturating add; guard the uint64 sum itself against wrap-around for
-  // pathologically large `by`.
-  if (by >= kMax || static_cast<std::uint64_t>(counts_[cell]) + by > kMax) {
-    counts_[cell] = kMax;
-  } else {
-    counts_[cell] = static_cast<std::uint32_t>(counts_[cell] + by);
-  }
-}
 
 void HeatMap::reset() {
   std::fill(counts_.begin(), counts_.end(), 0u);

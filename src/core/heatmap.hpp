@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace mhm {
@@ -46,7 +48,17 @@ class HeatMap {
   std::uint32_t operator[](std::size_t i) const { return counts_[i]; }
 
   /// Saturating increment (hardware counters are 32-bit).
-  void increment(std::size_t cell, std::uint64_t by = 1);
+  void increment(std::size_t cell, std::uint64_t by = 1) {
+    MHM_ASSERT(cell < counts_.size(), "HeatMap::increment: cell out of range");
+    constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+    // Saturating add; guard the uint64 sum itself against wrap-around for
+    // pathologically large `by`.
+    if (by >= kMax || static_cast<std::uint64_t>(counts_[cell]) + by > kMax) {
+      counts_[cell] = kMax;
+    } else {
+      counts_[cell] = static_cast<std::uint32_t>(counts_[cell] + by);
+    }
+  }
 
   void reset();
 

@@ -75,6 +75,7 @@ class Memometer final : public BusObserver {
   void record(const AccessBurst& burst);
 
   MhmConfig config_;
+  unsigned shift_ = 0;         ///< g = log2(δ), the target-cell shift.
   ReadyCallback on_ready_;
   HeatMap units_[2];           ///< The two on-chip MHM memories.
   int active_unit_ = 0;
