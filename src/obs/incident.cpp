@@ -73,9 +73,11 @@ std::atomic<int> g_published{-1};
 struct sigaction g_old_segv;
 struct sigaction g_old_abrt;
 
+#if !defined(MHM_OBS_DISABLED)
 /// Async-signal-safe: write the published prerendered bundle to the
 /// pre-opened fd, fsync, then re-raise with the default disposition so the
-/// process still dies with the original signal.
+/// process still dies with the original signal. Only arm() installs it,
+/// and arm() is a no-op with the layer compiled out.
 void crash_handler(int sig) {
   static std::atomic<bool> entered{false};
   if (!entered.exchange(true, std::memory_order_relaxed)) {
@@ -89,6 +91,7 @@ void crash_handler(int sig) {
   ::signal(sig, SIG_DFL);
   ::raise(sig);
 }
+#endif
 
 }  // namespace
 
