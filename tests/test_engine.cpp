@@ -335,6 +335,7 @@ TEST_F(EngineTest, SimSourceYieldsExactlyTheSystemTrace) {
     engine::SimIntervalSource source(system, 500 * kMillisecond);
     while (auto item = source.next()) pulled.push_back(std::move(item->map));
     EXPECT_EQ(source.remaining(), 0u);
+    EXPECT_TRUE(system.trace().empty());  // drained by move, not copied
   }
   sim::System reference(cfg);
   reference.run_for(500 * kMillisecond);
