@@ -108,6 +108,9 @@ AddressTraceStats replay_address_trace(std::istream& in, MemoryBus& bus) {
     stats.accesses += burst.total_accesses();
     bus.publish(burst);
   }
+  // Time stays where the last burst left it; this only flushes the bus's
+  // registry counter.
+  bus.advance_time(bus.last_time());
   return stats;
 }
 

@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 #include "hw/memometer.hpp"
 #include "hw/trace_recorder.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace mhm::hw {
 namespace {
@@ -25,6 +27,24 @@ TEST(AddressTrace, ParsesMinimalLines) {
   EXPECT_EQ(rec.bursts()[1].time, 10u);
   EXPECT_EQ(rec.bursts()[0].size_bytes, 4u);
   EXPECT_EQ(rec.bursts()[0].sweeps, 1u);
+}
+
+TEST(AddressTrace, RegistryCountsEveryReplayedBurst) {
+  // No advance_time follows the replay (as in `mhm_tool ingest`); the
+  // bursts are in the registry as soon as replay_address_trace returns.
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  obs::Counter& bursts = obs::Registry::instance().counter("hw.bus.bursts");
+  const std::uint64_t before = bursts.value();
+  std::istringstream in("0 0x1000\n5 0x1010 64 3\n10 4096\n");
+  MemoryBus bus;
+  TraceRecorder rec;
+  bus.attach(&rec);
+  (void)replay_address_trace(in, bus);
+  EXPECT_EQ(bus.bursts_published(), 3u);
+  EXPECT_EQ(bursts.value() - before, bus.bursts_published());
+  obs::set_enabled(obs_was_enabled);
 }
 
 TEST(AddressTrace, ParsesOptionalSizeAndSweeps) {
