@@ -58,13 +58,15 @@ obs::Histogram& StreamObserver::analysis_time_histogram() {
 
 StreamObserver::StreamObserver(const ModelSnapshot& snapshot,
                                const Options& options)
-    : journal_(options.journal_capacity != 0
-                   ? std::make_shared<obs::DecisionJournal>(
-                         options.journal_capacity)
-                   : std::make_shared<obs::DecisionJournal>()),
-      phases_(std::max<std::size_t>(1, options.phases)),
-      top_cells_(options.top_cells),
-      options_(options) {
+    : phases_(std::max<std::size_t>(1, options.phases)), options_(options) {
+  const std::size_t journal_capacity =
+      options.journal_capacity != 0 ? options.journal_capacity
+                                    : obs::DecisionJournal::kDefaultCapacity;
+  ring_ = std::make_shared<obs::IntervalRing>(
+      std::max(journal_capacity, options.history_raw));
+  journal_ = std::make_shared<obs::DecisionJournal>(
+      ring_, journal_capacity, phases_, snapshot.pca.components(),
+      options.top_cells);
   auto& registry = obs::Registry::instance();
   phase_metrics_.reserve(phases_);
   for (std::size_t p = 0; p < phases_; ++p) {
@@ -83,17 +85,19 @@ StreamObserver::StreamObserver(const ModelSnapshot& snapshot,
     ho.raw_capacity = options_.history_raw;
     ho.bin_capacity = options_.history_bins;
     ho.tiers = options_.history_tiers;
-    history_ = std::make_shared<obs::ScoreHistory>(ho);
+    history_ = std::make_shared<obs::ScoreHistory>(ring_, ho);
   }
   rebind(snapshot);
 }
 
 void StreamObserver::rebind(const ModelSnapshot& snapshot) {
-  // The health baseline belongs to the model being scored with; the score
-  // history and the incident recorder deliberately span the swap — the
+  // The health baseline belongs to the model being scored with; the ring
+  // and the incident recorder deliberately span the swap — the
   // model_version column records where the transition happened.
   health_ = build_health(snapshot, options_);
-  if (health_ != nullptr) health_->attach_views(history_, incidents_);
+  if (health_ != nullptr) {
+    health_->attach_views(ring_, options_.history_raw, incidents_);
+  }
 }
 
 void StreamObserver::annotate_next(std::string note) {
@@ -105,11 +109,12 @@ void StreamObserver::annotate_next(std::string note) {
 void StreamObserver::attach_incidents(
     const obs::IncidentOptions& options,
     std::shared_ptr<obs::IncidentStore> store) {
-  incidents_ = store != nullptr
-                   ? std::make_shared<obs::IncidentRecorder>(options,
-                                                             std::move(store))
-                   : nullptr;
-  if (health_ != nullptr) health_->attach_views(history_, incidents_);
+  incidents_ = store != nullptr ? std::make_shared<obs::IncidentRecorder>(
+                                      options, std::move(store), ring_)
+                                : nullptr;
+  if (health_ != nullptr) {
+    health_->attach_views(ring_, options_.history_raw, incidents_);
+  }
 }
 
 obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
@@ -117,7 +122,6 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
                                               std::span<const double> raw,
                                               std::span<const double> reduced) {
   if (!obs::enabled()) return obs::ModelHealthStatus::kOk;
-  obs::mark_analysis();
   DetectorMetrics& m = detector_metrics();
   m.intervals.add();
   if (verdict.anomalous) m.alarms.add();
@@ -126,18 +130,13 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
   // Hyperperiod-phase-bucketed alarm telemetry: one or two counter adds
   // per interval, cached handles only. The per-phase alarm rate is
   // alarms_by_phase / intervals_by_phase, derived by the reader.
-  const std::size_t phase =
-      static_cast<std::size_t>(verdict.interval_index % phases_);
-  if (phase < phase_metrics_.size()) {
-    const PhaseMetrics& pm = phase_metrics_[phase];
-    pm.intervals->add();
-    if (verdict.anomalous) pm.alarms->add();
-  }
+  const PhaseMetrics& pm = phase_metrics_[verdict.interval_index % phases_];
+  pm.intervals->add();
+  if (verdict.anomalous) pm.alarms->add();
 
   // Model-health monitor: consumes the score/SPE/pattern the scoring call
   // already computed — the hook adds no E-step work. The returned status
-  // feeds the history ring and the incident trigger below without a second
-  // lock acquisition.
+  // is stored in the ring row below without a second lock acquisition.
   obs::ModelHealthStatus status = obs::ModelHealthStatus::kOk;
   if (health_ != nullptr) {
     status = health_->observe(verdict.log10_density, verdict.spe,
@@ -145,60 +144,36 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
                               verdict.interval_index);
   }
 
-  if (history_ != nullptr) {
-    obs::HistorySample sample;
-    sample.interval = verdict.interval_index;
-    sample.score = verdict.log10_density;
-    sample.spe = verdict.spe;
-    sample.alarm = verdict.anomalous;
-    sample.status = static_cast<std::uint8_t>(status);
-    sample.model_version = verdict.model_version;
-    history_->append(sample);
-  }
-
-  if (incidents_ != nullptr) {
-    const CellBaseline* bl = snapshot.baseline.get();
-    const std::span<const double> bl_mean =
-        bl != nullptr ? std::span<const double>(bl->mean)
-                      : std::span<const double>{};
-    const std::span<const double> bl_stddev =
-        bl != nullptr ? std::span<const double>(bl->stddev)
-                      : std::span<const double>{};
-    incidents_->note(verdict.interval_index, verdict.log10_density,
-                     verdict.spe, verdict.anomalous, verdict.nearest_pattern,
-                     verdict.model_version, snapshot.primary.log10_value,
-                     static_cast<std::uint8_t>(status), raw, bl_mean,
-                     bl_stddev);
-  }
-
-  // The record is thread_local and handed to the journal by swap, so its
-  // vectors trade buffers with the evicted ring slot instead of
-  // allocating — the append path is allocation-free in steady state.
-  thread_local obs::DecisionRecord rec;
-  rec.note.clear();
+  std::string note;
   if (note_pending_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lk(note_mu_);
-    rec.note = std::move(pending_note_);
+    note = std::move(pending_note_);
     pending_note_.clear();
     note_pending_.store(false, std::memory_order_release);
   }
-  rec.interval_index = verdict.interval_index;
-  rec.phase = verdict.interval_index % phases_;
-  rec.reduced_coords.assign(reduced.begin(), reduced.end());
-  rec.log10_density = verdict.log10_density;
-  rec.threshold = snapshot.primary.log10_value;
-  rec.alarm = verdict.anomalous;
-  rec.nearest_pattern = verdict.nearest_pattern;
-  rec.model_version = verdict.model_version;
-  rec.top_cells.clear();
-  const CellBaseline* baseline = snapshot.baseline.get();
-  if (verdict.anomalous && baseline != nullptr &&
-      baseline->mean.size() == raw.size()) {
-    // Rank cells by |z| against the training baseline — O(L), alarms only.
-    obs::rank_cells_by_z(raw, baseline->mean, baseline->stddev, top_cells_,
-                         rec.top_cells);
+  const CellBaseline* bl = snapshot.baseline.get();
+  const std::span<const double> bl_mean =
+      bl != nullptr ? std::span<const double>(bl->mean)
+                    : std::span<const double>{};
+  const std::span<const double> bl_stddev =
+      bl != nullptr ? std::span<const double>(bl->stddev)
+                    : std::span<const double>{};
+  const obs::IntervalRow row{
+      .interval = verdict.interval_index,
+      .score = verdict.log10_density,
+      .spe = verdict.spe,
+      .threshold = snapshot.primary.log10_value,
+      .alarm = verdict.anomalous,
+      .status = static_cast<std::uint8_t>(status),
+      .pattern = static_cast<std::uint32_t>(verdict.nearest_pattern),
+      .model_version = verdict.model_version};
+  {
+    std::lock_guard<std::mutex> lk(ring_->mutex());
+    ring_->push(row);
+    journal_->record_locked(reduced, raw, bl_mean, bl_stddev, note);
+    if (history_ != nullptr) history_->fold_locked(row);
   }
-  journal_->append_swap(rec);
+  if (incidents_ != nullptr) incidents_->note(raw, bl_mean, bl_stddev);
   return status;
 }
 

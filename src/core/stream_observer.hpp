@@ -10,6 +10,7 @@
 
 #include "core/snapshot.hpp"
 #include "obs/incident.hpp"
+#include "obs/interval_ring.hpp"
 #include "obs/journal.hpp"
 
 namespace mhm::obs {
@@ -22,13 +23,16 @@ class ScoreHistory;
 
 namespace mhm {
 
-/// Per-stream observation bundle: the decision journal, the hyperperiod-
-/// phase metric handles and the model-health monitor that ride on one
-/// scored MHM stream. Every engine::Session owns one, so a stream's
-/// telemetry travels with the stream instead of hanging off a
+/// Per-stream observation bundle: the interval ring, the decision journal,
+/// the hyperperiod-phase metric handles and the model-health monitor that
+/// ride on one scored MHM stream. Every engine::Session owns one, so a
+/// stream's telemetry travels with the stream instead of hanging off a
 /// process-global detector.
 ///
-/// The journal and the health monitor are per-observer (per-stream); the
+/// Each scored interval's verdict fields are stored once, in the
+/// observer's IntervalRing (capacity max(journal_capacity, history_raw,
+/// incident pre + post + 1)). The journal, the score history's raw tier,
+/// the incident window and the health sparkline are views over it. The
 /// counters resolve through the process-wide Registry by name, so
 /// concurrent streams aggregate into the same /metrics series.
 class StreamObserver {
@@ -49,10 +53,11 @@ class StreamObserver {
     /// calibration state is then someone else's job — e.g. the fleet
     /// aggregator's rollup of a sampled subset).
     bool attach_health = true;
-    /// Multi-resolution score history ring (obs/history): raw last-N ring
-    /// plus min/mean/max folded tiers. history_raw = 0 skips the history
-    /// entirely; the fleet preset shrinks it to fit the session budget.
-    /// The raw ring is also the model-health sparkline (`recent_scores`).
+    /// Multi-resolution score history (obs/history): the newest
+    /// history_raw ring entries plus min/mean/max folded tiers.
+    /// history_raw = 0 skips the history entirely; the fleet preset shrinks
+    /// it to fit the session budget. The same entries are the model-health
+    /// sparkline (`recent_scores`).
     /// Every tier folds 8 finer entries (HistoryOptions' default).
     std::size_t history_raw = 256;
     std::size_t history_bins = 128;
@@ -65,11 +70,13 @@ class StreamObserver {
   StreamObserver(const ModelSnapshot& snapshot, const Options& options);
 
   /// Record one scored interval: process + per-phase metrics, model-health
-  /// observation, score history, incident recorder, journal append. `raw`
-  /// and `reduced` are views of the map and its projection from the scoring
-  /// call (a batch scatter passes SoA column gathers; nothing is re-scored)
-  /// — they are copied where retained, never stored as views. No-op while observability
-  /// is disabled. Called from the owning session's scoring thread only.
+  /// observation, then under the ring's one lock the ring row, the
+  /// journal's side state and the history fold, then the incident
+  /// recorder. `raw` and `reduced` are views of the map and its projection
+  /// from the scoring call (a batch scatter passes SoA column gathers;
+  /// nothing is re-scored) — they are copied where retained, never stored as
+  /// views. No-op while observability is disabled. Called from the owning
+  /// session's scoring thread only.
   /// Returns the model-health verdict for this interval (kOk when no monitor
   /// is attached or observability is off) so callers — the engine's
   /// clean-interval reservoir — can gate on it without a second lock
@@ -81,8 +88,9 @@ class StreamObserver {
 
   /// Rebuild the model-health monitor against a new snapshot (hot model
   /// swap): the health baseline always belongs to the model being scored
-  /// with. The journal, phase handles, score history and incident recorder
-  /// are untouched; the new monitor views the same history and recorder.
+  /// with. The ring and its views, the phase handles and the incident
+  /// recorder are untouched; the new monitor views the same ring and
+  /// recorder.
   void rebind(const ModelSnapshot& snapshot);
 
   obs::DecisionJournal& journal() const { return *journal_; }
@@ -102,7 +110,8 @@ class StreamObserver {
   /// Attach the incident black box: the recorder watches this stream's
   /// verdict/health sequence and commits `.mhmi` bundles into `store` on an
   /// alarm burst or an OK→degraded health transition. Null store detaches.
-  /// The model-health monitor's heat row views the recorder's newest row.
+  /// The recorder grows the ring to its window; the model-health monitor's
+  /// heat row views the recorder's newest row.
   void attach_incidents(const obs::IncidentOptions& options,
                         std::shared_ptr<obs::IncidentStore> store);
   std::shared_ptr<obs::IncidentRecorder> incident_recorder() const {
@@ -131,9 +140,9 @@ class StreamObserver {
     obs::Counter* alarms = nullptr;
   };
 
+  std::shared_ptr<obs::IntervalRing> ring_;
   std::shared_ptr<obs::DecisionJournal> journal_;
   std::size_t phases_ = 10;
-  std::size_t top_cells_ = 8;
   Options options_;  ///< Kept so rebind() re-applies the health options.
   std::vector<PhaseMetrics> phase_metrics_;
   std::shared_ptr<obs::ModelHealthMonitor> health_;

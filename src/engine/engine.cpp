@@ -118,6 +118,7 @@ Verdict Session::analyze(std::span<const double> raw,
   const Verdict v = score_snapshot(*snap_, raw, interval_index, scratch_);
   OBS_SCOPE(kScoreObserve);
   observe(v, raw);
+  obs::mark_analysis();
   return v;
 }
 
@@ -129,6 +130,7 @@ Verdict Session::analyze(const HeatMap& map) {
   const Verdict v = score_snapshot(*snap_, map, scratch_);
   OBS_SCOPE(kScoreObserve);
   observe(v, scratch_.raw);
+  obs::mark_analysis();
   return v;
 }
 
@@ -206,6 +208,7 @@ void DetectionEngine::analyze_shard(std::span<Session* const> sessions,
     s.observe(v, raws[i]);
     if (verdicts != nullptr) verdicts->push_back(v);
   }
+  obs::mark_analysis();
 }
 
 std::size_t DetectionEngine::pump_shard(std::span<Session* const> sessions,

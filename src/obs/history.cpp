@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace mhm::obs {
 namespace {
@@ -24,7 +25,7 @@ bool wants(const std::string& series, const char* name) {
   return series == "all" || series == name;
 }
 
-HistoryBin bin_of(const HistorySample& s) {
+HistoryBin bin_of(const IntervalRow& s) {
   HistoryBin b;
   b.first_interval = s.interval;
   b.last_interval = s.interval;
@@ -59,22 +60,18 @@ void merge_into(HistoryBin& acc, const HistoryBin& fine) {
 
 }  // namespace
 
-ScoreHistory::ScoreHistory(const HistoryOptions& options) : options_(options) {
+ScoreHistory::ScoreHistory(std::shared_ptr<const IntervalRing> ring,
+                           const HistoryOptions& options)
+    : ring_(std::move(ring)), options_(options) {
   options_.raw_capacity = std::max<std::size_t>(1, options_.raw_capacity);
   options_.bin_capacity = std::max<std::size_t>(1, options_.bin_capacity);
   options_.fold = std::max<std::size_t>(2, options_.fold);
-  raw_.resize(options_.raw_capacity);
   tiers_.resize(options_.tiers);
   for (Tier& t : tiers_) t.ring.resize(options_.bin_capacity);
 }
 
-void ScoreHistory::append(const HistorySample& sample) {
-  std::lock_guard<std::mutex> lock(mu_);
-  raw_[raw_head_] = sample;
-  raw_head_ = (raw_head_ + 1) % raw_.size();
-  raw_size_ = std::min(raw_size_ + 1, raw_.size());
-  ++total_;
-  if (!tiers_.empty()) feed_tier(0, bin_of(sample));
+void ScoreHistory::fold_locked(const IntervalRow& row) {
+  if (!tiers_.empty()) feed_tier(0, bin_of(row));
 }
 
 void ScoreHistory::feed_tier(std::size_t t, const HistoryBin& fine) {
@@ -91,18 +88,17 @@ void ScoreHistory::feed_tier(std::size_t t, const HistoryBin& fine) {
 }
 
 std::vector<HistorySample> ScoreHistory::raw_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(ring_->mutex());
   std::vector<HistorySample> out;
-  out.reserve(raw_size_);
-  const std::size_t start = (raw_head_ + raw_.size() - raw_size_) % raw_.size();
-  for (std::size_t i = 0; i < raw_size_; ++i) {
-    out.push_back(raw_[(start + i) % raw_.size()]);
+  for (std::uint64_t seq = ring_->first(options_.raw_capacity);
+       seq < ring_->total(); ++seq) {
+    out.push_back(ring_->at(seq));
   }
   return out;
 }
 
 std::vector<HistoryBin> ScoreHistory::tier_snapshot(std::size_t tier) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(ring_->mutex());
   std::vector<HistoryBin> out;
   if (tier == 0 || tier > tiers_.size()) return out;
   const Tier& t = tiers_[tier - 1];
@@ -121,14 +117,13 @@ std::uint64_t ScoreHistory::span_at(std::size_t res) const {
 }
 
 std::uint64_t ScoreHistory::total_appended() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
+  std::lock_guard<std::mutex> lock(ring_->mutex());
+  return ring_->total();
 }
 
 std::size_t ScoreHistory::memory_bytes() const {
-  return raw_.capacity() * sizeof(HistorySample) +
-         tiers_.size() * (options_.bin_capacity * sizeof(HistoryBin) +
-                          sizeof(Tier));
+  return tiers_.size() *
+         (options_.bin_capacity * sizeof(HistoryBin) + sizeof(Tier));
 }
 
 std::string history_json(const ScoreHistory& history, const std::string& series,

@@ -2,34 +2,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "obs/interval_ring.hpp"
 
 namespace mhm::obs {
 
 /// RRD-style multi-resolution score history.
 ///
 /// One ScoreHistory rides on each scored stream and retains "what did the
-/// last N hyperperiods look like" at a fixed memory cost: a raw ring of the
-/// most recent intervals plus coarser tiers where every `fold` finer
-/// entries collapse into one min/mean/max bin. Appends are O(tiers)
-/// worst-case (amortized O(1)); nothing ever allocates after construction,
-/// so the fleet preset can afford one per session inside the 64 KB budget.
+/// last N hyperperiods look like" at a fixed memory cost: a raw tier that is
+/// the newest `raw_capacity` entries of the session's IntervalRing, plus
+/// coarser tiers where every `fold` finer entries collapse into one
+/// min/mean/max bin. Folds are O(tiers) worst-case (amortized O(1)); nothing
+/// ever allocates after construction, so the fleet preset can afford one per
+/// session inside the 64 KB budget.
 ///
-/// Like the P² sketches, the class is a pure primitive — it touches no
-/// process-global state, so it stays fully functional under
-/// MHM_OBS_DISABLE; callers gate the append on obs::enabled().
+/// Like the P² sketches, the class touches no process-global state, so it
+/// stays fully functional under MHM_OBS_DISABLE; callers gate the fold on
+/// obs::enabled().
 
-/// One raw interval observation (resolution 0).
-struct HistorySample {
-  std::uint64_t interval = 0;
-  double score = 0.0;   ///< log10 Pr(M') from the verdict.
-  double spe = 0.0;     ///< PCA squared prediction error.
-  bool alarm = false;
-  std::uint8_t status = 0;  ///< ModelHealthStatus at the interval (0=OK).
-  std::uint64_t model_version = 0;
-};
+/// One raw-tier entry: a row of the session ring.
+using HistorySample = IntervalRow;
 
 /// One folded bin at resolution >= 1: `count` finer entries collapsed.
 struct HistoryBin {
@@ -55,13 +51,17 @@ struct HistoryOptions {
 
 class ScoreHistory {
  public:
-  explicit ScoreHistory(const HistoryOptions& options = HistoryOptions{});
+  /// `ring` must hold at least `options.raw_capacity` entries; the tiers
+  /// are guarded by its mutex.
+  ScoreHistory(std::shared_ptr<const IntervalRing> ring,
+               const HistoryOptions& options = HistoryOptions{});
 
-  /// Append one interval. Folds cascade: every `fold` raw samples commit a
-  /// tier-1 bin, every `fold` tier-1 bins commit a tier-2 bin, and so on.
-  void append(const HistorySample& sample);
+  /// Fold the ring's newest entry `row` into the tiers; the caller holds the
+  /// ring's mutex. Folds cascade: every `fold` raw samples commit a tier-1
+  /// bin, every `fold` tier-1 bins commit a tier-2 bin, and so on.
+  void fold_locked(const IntervalRow& row);
 
-  /// Raw samples, oldest first.
+  /// The newest raw_capacity ring entries, oldest first.
   std::vector<HistorySample> raw_snapshot() const;
   /// Bins of folded tier `tier` (1-based: tier 1 spans fold intervals per
   /// bin, tier 2 spans fold² ...), oldest first. Empty for out-of-range.
@@ -72,10 +72,9 @@ class ScoreHistory {
   /// Intervals spanned by one bin at resolution `res` (fold^res).
   std::uint64_t span_at(std::size_t res) const;
   std::uint64_t total_appended() const;
-  /// Fixed resident footprint of the rings (excludes sizeof(*this)).
+  /// Fixed resident footprint of the folded tiers (excludes sizeof(*this)
+  /// and the ring the raw tier reads).
   std::size_t memory_bytes() const;
-
-  const HistoryOptions& options() const { return options_; }
 
  private:
   struct Tier {
@@ -90,12 +89,8 @@ class ScoreHistory {
   /// cascades when the accumulator reaches `fold`.
   void feed_tier(std::size_t t, const HistoryBin& fine);
 
+  std::shared_ptr<const IntervalRing> ring_;
   HistoryOptions options_;
-  mutable std::mutex mu_;
-  std::vector<HistorySample> raw_;
-  std::size_t raw_head_ = 0;
-  std::size_t raw_size_ = 0;
-  std::uint64_t total_ = 0;
   std::vector<Tier> tiers_;
 };
 

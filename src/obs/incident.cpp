@@ -387,13 +387,17 @@ std::optional<std::string> IncidentStore::json_one(std::uint64_t id) const {
 }
 
 IncidentRecorder::IncidentRecorder(const IncidentOptions& options,
-                                   std::shared_ptr<IncidentStore> store)
-    : options_(options), store_(std::move(store)) {
+                                   std::shared_ptr<IncidentStore> store,
+                                   std::shared_ptr<IntervalRing> ring)
+    : options_(options), store_(std::move(store)), ring_(ring) {
   options_.pre = std::max<std::size_t>(1, options_.pre);
   options_.burst_window = std::max<std::size_t>(1, options_.burst_window);
   options_.burst_count = std::max<std::size_t>(1, options_.burst_count);
-  ring_.resize(options_.pre + 1);
-  recent_alarms_.reserve(options_.burst_window);
+  slots_ = options_.pre + options_.post + 1;
+  {
+    std::lock_guard<std::mutex> lock(ring->mutex());
+    ring->reserve(std::max(slots_, options_.burst_window));
+  }
   if (store_) store_->attach_source(this);
 }
 
@@ -401,77 +405,68 @@ IncidentRecorder::~IncidentRecorder() {
   if (store_) store_->detach_source(this);
 }
 
-void IncidentRecorder::note(std::uint64_t interval, double score, double spe,
-                            bool alarm, std::size_t nearest_pattern,
-                            std::uint64_t model_version, double threshold,
-                            std::uint8_t status, std::span<const double> raw,
+void IncidentRecorder::note(std::span<const double> raw,
                             std::span<const double> baseline_mean,
                             std::span<const double> baseline_stddev) {
   std::unique_lock<std::mutex> lock(mu_);
-  threshold_ = threshold;
-  cells_ = raw.size();
-  IncidentEntry& slot = ring_[ring_head_];
-  slot.interval = interval;
-  slot.score = score;
-  slot.spe = spe;
-  slot.alarm = alarm;
-  slot.nearest_pattern = nearest_pattern;
-  slot.model_version = model_version;
-  if (options_.capture_rows) {
-    slot.row.assign(raw.begin(), raw.end());
-  } else {
-    slot.row.clear();
-  }
-  ring_head_ = (ring_head_ + 1) % ring_.size();
-  ring_size_ = std::min(ring_size_ + 1, ring_.size());
-
-  if (alarm) {
-    recent_alarms_.push_back(interval);
-  }
-  // Prune the burst window (intervals are monotone per stream).
-  while (!recent_alarms_.empty() &&
-         interval - recent_alarms_.front() >= options_.burst_window) {
-    recent_alarms_.erase(recent_alarms_.begin());
-  }
-
-  if (pending_) {
-    pending_->window.push_back(ring_[(ring_head_ + ring_.size() - 1) %
-                                     ring_.size()]);
-    if (post_remaining_ > 0) --post_remaining_;
-    if (post_remaining_ == 0) {
-      if (store_) store_->commit(std::move(*pending_));
-      ++committed_;
-      pending_.reset();
-      recent_alarms_.clear();
+  std::unique_lock<std::mutex> ring_lock(ring_->mutex());
+  newest_seq_ = ring_->total() - 1;
+  if (!noted_) first_seq_ = burst_from_ = newest_seq_;
+  const IntervalRow row = ring_->at(newest_seq_);
+  // Alarms within the burst window, read off the ring's alarm flags
+  // (intervals are monotone per stream).
+  std::size_t burst = 0;
+  if (!pending_) {
+    const std::uint64_t oldest = std::max<std::uint64_t>(
+        burst_from_, ring_->first(options_.burst_window));
+    for (std::uint64_t seq = newest_seq_ + 1; seq-- > oldest;) {
+      const IntervalRow& r = ring_->at(seq);
+      if (row.interval - r.interval >= options_.burst_window) break;
+      burst += r.alarm;
     }
-  } else {
-    const bool gap_ok =
-        !has_triggered_ || interval - last_trigger_ >= options_.min_gap;
-    const bool burst = recent_alarms_.size() >= options_.burst_count;
-    const bool transition = has_prev_status_ && prev_status_ == 0 &&
-                            status != 0;
-    if (burst || transition) {
-      if (gap_ok) {
-        char detail[64];
-        if (burst) {
-          std::snprintf(detail, sizeof detail, "%zu alarms in %zu intervals",
-                        recent_alarms_.size(), options_.burst_window);
-        } else {
-          std::snprintf(detail, sizeof detail, "OK->%s",
-                        status == 1 ? "DRIFTING" : "MISCALIBRATED");
-        }
-        trigger_locked(burst ? "alarm_burst" : "health_transition", detail,
-                       interval, raw, baseline_mean, baseline_stddev);
+  }
+  ring_lock.unlock();
+
+  if (rows_.size() != slots_ * raw.size()) {  // First note, or a new L.
+    cells_ = raw.size();
+    rows_.assign(slots_ * cells_, 0.0);
+  }
+  std::copy(raw.begin(), raw.end(),
+            rows_.begin() + newest_seq_ % slots_ * cells_);
+
+  if (!pending_) {
+    const bool gap_ok = !has_triggered_ ||
+                        row.interval - last_trigger_ >= options_.min_gap;
+    const bool burst_hit = burst >= options_.burst_count;
+    const bool transition = noted_ && prev_status_ == 0 && row.status != 0;
+    if ((burst_hit || transition) && gap_ok) {
+      has_triggered_ = true;
+      last_trigger_ = row.interval;
+      reason_ = burst_hit ? "alarm_burst" : "health_transition";
+      if (burst_hit) {
+        std::snprintf(detail_, sizeof detail_, "%zu alarms in %zu intervals",
+                      burst, options_.burst_window);
       } else {
-        ++suppressed_;
-        if (store_) suppressed_counter().add(1);
-        recent_alarms_.clear();  // One suppression per burst, not per alarm.
+        std::snprintf(detail_, sizeof detail_, "OK->%s",
+                      row.status == 1 ? "DRIFTING" : "MISCALIBRATED");
       }
+      trigger_seq_ = newest_seq_;
+      top_cells_.clear();
+      if (baseline_mean.size() == raw.size() &&
+          baseline_stddev.size() == raw.size()) {
+        rank_cells_by_z(raw, baseline_mean, baseline_stddev,
+                        options_.top_cells, top_cells_);
+      }
+      pending_ = true;
+    } else if (burst_hit || transition) {
+      ++suppressed_;
+      if (store_) suppressed_counter().add(1);
+      burst_from_ = newest_seq_ + 1;  // One suppression per burst.
     }
   }
-
-  prev_status_ = status;
-  has_prev_status_ = true;
+  if (pending_ && newest_seq_ - trigger_seq_ == options_.post) commit_locked();
+  noted_ = true;
+  prev_status_ = row.status;
 
   // Black box: keep the armed store's crash bundle at most one refresh
   // period behind this stream. One relaxed load while unarmed. The refresh
@@ -484,6 +479,38 @@ void IncidentRecorder::note(std::uint64_t interval, double score, double spe,
   }
 }
 
+void IncidentRecorder::commit_locked() {
+  Incident inc = window_locked(trigger_seq_, pre_before(trigger_seq_));
+  inc.reason = reason_;
+  inc.detail = detail_;
+  inc.post = options_.post;
+  inc.top_cells = top_cells_;
+  if (store_) store_->commit(std::move(inc));
+  ++committed_;
+  pending_ = false;
+  burst_from_ = newest_seq_ + 1;
+}
+
+Incident IncidentRecorder::window_locked(std::uint64_t trigger,
+                                         std::size_t pre) const {
+  Incident inc;
+  std::lock_guard<std::mutex> ring_lock(ring_->mutex());
+  const IntervalRow& t = ring_->at(trigger);
+  inc.trigger_interval = t.interval;
+  inc.model_version = t.model_version;
+  inc.threshold = t.threshold;
+  inc.cells = cells_;
+  inc.pre = pre;
+  inc.window.reserve(newest_seq_ + pre + 1 - trigger);
+  for (std::uint64_t seq = trigger - pre; seq <= newest_seq_; ++seq) {
+    const IntervalRow& r = ring_->at(seq);
+    const auto row = rows_.begin() + seq % slots_ * cells_;
+    inc.window.push_back({r.interval, r.score, r.spe, r.alarm, r.pattern,
+                          r.model_version, {row, row + cells_}});
+  }
+  return inc;
+}
+
 Incident IncidentRecorder::context() const {
   std::lock_guard<std::mutex> lock(mu_);
   return context_locked();
@@ -491,53 +518,13 @@ Incident IncidentRecorder::context() const {
 
 IncidentEntry IncidentRecorder::newest() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ring_[(ring_head_ + ring_.size() - 1) % ring_.size()];
+  return noted_ ? window_locked(newest_seq_, 0).window.front()
+                : IncidentEntry{};
 }
 
 Incident IncidentRecorder::context_locked() const {
-  Incident inc;
-  const IncidentEntry& newest =
-      ring_[(ring_head_ + ring_.size() - 1) % ring_.size()];
-  inc.trigger_interval = newest.interval;
-  inc.model_version = newest.model_version;
-  inc.threshold = threshold_;
-  inc.cells = cells_;
-  inc.pre = ring_size_ > 0 ? ring_size_ - 1 : 0;
-  inc.window.reserve(ring_size_ + options_.post);
-  const std::size_t start =
-      (ring_head_ + ring_.size() - ring_size_) % ring_.size();
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    inc.window.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return inc;
-}
-
-void IncidentRecorder::trigger_locked(const char* reason, std::string detail,
-                                      std::uint64_t interval,
-                                      std::span<const double> raw,
-                                      std::span<const double> baseline_mean,
-                                      std::span<const double> baseline_stddev) {
-  has_triggered_ = true;
-  last_trigger_ = interval;
-
-  Incident inc = context_locked();
-  inc.reason = reason;
-  inc.detail = std::move(detail);
-  inc.post = options_.post;
-  if (baseline_mean.size() == raw.size() &&
-      baseline_stddev.size() == raw.size()) {
-    rank_cells_by_z(raw, baseline_mean, baseline_stddev, options_.top_cells,
-                    inc.top_cells);
-  }
-
-  if (options_.post == 0) {
-    if (store_) store_->commit(std::move(inc));
-    ++committed_;
-    recent_alarms_.clear();
-  } else {
-    pending_ = std::move(inc);
-    post_remaining_ = options_.post;
-  }
+  if (!noted_) return Incident{};
+  return window_locked(newest_seq_, pre_before(newest_seq_));
 }
 
 std::uint64_t IncidentRecorder::committed() const {
@@ -552,7 +539,7 @@ std::uint64_t IncidentRecorder::suppressed() const {
 
 bool IncidentRecorder::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pending_.has_value();
+  return pending_;
 }
 
 namespace {

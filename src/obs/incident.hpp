@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/interval_ring.hpp"
 #include "obs/journal.hpp"
 
 namespace mhm::obs {
@@ -25,8 +27,9 @@ namespace mhm::obs {
 /// from the SIGSEGV/SIGABRT handler, `flush` for HTTP /flush, `shutdown` on
 /// exit) that carry the process state after the `== profile ==` section.
 ///
-///  - IncidentRecorder: per-stream trigger logic + bounded pre-ring. One per
-///    Session, fed from StreamObserver::record.
+///  - IncidentRecorder: per-stream trigger logic + a bounded row ring. One
+///    per Session, fed from StreamObserver::record; its verdicts are the
+///    session IntervalRing's.
 ///  - IncidentStore: process-level sink shared by every recorder. Prerenders
 ///    each bundle, then writes it front to back, `== end ==` last: a crash
 ///    mid-write leaves a file that parses as truncated, never a corrupt one.
@@ -40,10 +43,6 @@ struct IncidentOptions {
   /// attack produces one bundle per gap, not one per alarm.
   std::uint64_t min_gap = 256;
   std::size_t top_cells = 8;      ///< |z|-ranked cell deltas in the bundle.
-  /// Copy the raw heat-map rows into the bundle (the replay payload). Costs
-  /// (pre+post+1) × L doubles per recorder — the single-stream default;
-  /// fleet sessions keep recorders off entirely.
-  bool capture_rows = true;
 };
 
 /// One interval inside an incident window.
@@ -54,7 +53,7 @@ struct IncidentEntry {
   bool alarm = false;
   std::size_t nearest_pattern = 0;
   std::uint64_t model_version = 0;
-  std::vector<double> row;  ///< Raw heat-map cells; empty unless captured.
+  std::vector<double> row;  ///< Raw heat-map cells (the replay payload).
 };
 
 /// A fully assembled incident, handed from recorder to store.
@@ -189,22 +188,24 @@ class IncidentStore {
 
 class IncidentRecorder {
  public:
-  /// `store` may be null: the recorder then runs trigger logic but commits
-  /// nothing (used by tests probing the window machinery in isolation).
+  /// Views `ring`, which it grows to cover its pre + post + 1 window and the
+  /// burst window. `store` may be null: the recorder then runs trigger logic
+  /// but commits nothing (used by tests probing the window machinery in
+  /// isolation).
   IncidentRecorder(const IncidentOptions& options,
-                   std::shared_ptr<IncidentStore> store);
+                   std::shared_ptr<IncidentStore> store,
+                   std::shared_ptr<IntervalRing> ring);
   ~IncidentRecorder();
 
-  /// Per-interval hook (from StreamObserver::record): `status` is the
-  /// model-health status code after this interval (0 OK, 1 DRIFTING,
-  /// 2 MISCALIBRATED), `threshold` the primary θ_p, `baseline_mean` /
-  /// `baseline_stddev` the per-cell training baseline (empty spans when the
-  /// model carries none). While the store is armed, also refreshes its
-  /// crash bundle (rate-limited). Thread-safe.
-  void note(std::uint64_t interval, double score, double spe, bool alarm,
-            std::size_t nearest_pattern, std::uint64_t model_version,
-            double threshold, std::uint8_t status,
-            std::span<const double> raw, std::span<const double> baseline_mean,
+  /// Per-interval hook (from StreamObserver::record), once the ring's newest
+  /// entry is written: `raw` is that interval's heat-map row,
+  /// `baseline_mean` / `baseline_stddev` the per-cell training baseline
+  /// (empty spans when the model carries none). Copies the row into a ring
+  /// of pre + post + 1 slots, allocated at the first note; the trigger and
+  /// post-window intervals allocate nothing until the commit. While the
+  /// store is armed, also refreshes its crash bundle (rate-limited).
+  /// Thread-safe.
+  void note(std::span<const double> raw, std::span<const double> baseline_mean,
             std::span<const double> baseline_stddev);
 
   /// Incidents this recorder has committed / suppressed (rate limit).
@@ -217,34 +218,47 @@ class IncidentRecorder {
   /// cells): the newest interval is the trigger, `post` is 0.
   Incident context() const;
 
-  /// The newest noted interval; its row is empty unless rows are captured
-  /// (a default entry before the first note).
+  /// The newest noted interval with its row (a default entry before the
+  /// first note).
   IncidentEntry newest() const;
 
  private:
+  /// The window from `pre` entries before `trigger` to the newest noted
+  /// one: verdicts from the ring, rows from the row ring. Takes the ring's
+  /// mutex under mu_.
+  Incident window_locked(std::uint64_t trigger, std::size_t pre) const;
+  /// Noted entries before `seq` that its pre-window holds.
+  std::size_t pre_before(std::uint64_t seq) const {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(options_.pre, seq - first_seq_));
+  }
   Incident context_locked() const;
-  void trigger_locked(const char* reason, std::string detail,
-                      std::uint64_t interval, std::span<const double> raw,
-                      std::span<const double> baseline_mean,
-                      std::span<const double> baseline_stddev);
+  /// Assemble the pending incident from the ring and hand it to the store.
+  void commit_locked();
 
   IncidentOptions options_;
   std::shared_ptr<IncidentStore> store_;
-  mutable std::mutex mu_;
-  std::vector<IncidentEntry> ring_;  ///< Pre-window (capacity pre+1).
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
-  std::vector<std::uint64_t> recent_alarms_;  ///< Intervals, for the burst.
+  std::shared_ptr<const IntervalRing> ring_;
+  mutable std::mutex mu_;  ///< Taken before the ring's mutex, never after.
+  std::size_t slots_;      ///< pre + post + 1.
+  std::size_t cells_ = 0;  ///< Newest row length.
+  std::vector<double> rows_;  ///< slots_ × cells_ row ring, by seq % slots_.
+  bool noted_ = false;
+  std::uint64_t first_seq_ = 0;   ///< Ring sequence of the first note.
+  std::uint64_t newest_seq_ = 0;  ///< Ring sequence of the newest note.
+  std::uint64_t burst_from_ = 0;  ///< Oldest sequence the burst counts.
   std::uint8_t prev_status_ = 0;
-  bool has_prev_status_ = false;
   std::uint64_t last_trigger_ = 0;
   bool has_triggered_ = false;
-  std::optional<Incident> pending_;
-  std::size_t post_remaining_ = 0;
+  // The pending incident, held as scalars and preallocated buffers so the
+  // trigger and post-window intervals allocate nothing.
+  bool pending_ = false;
+  const char* reason_ = "";
+  char detail_[64] = {};
+  std::uint64_t trigger_seq_ = 0;
+  std::vector<CellContribution> top_cells_;
   std::uint64_t committed_ = 0;
   std::uint64_t suppressed_ = 0;
-  double threshold_ = 0.0;  ///< Newest θ_p, for context incidents.
-  std::size_t cells_ = 0;   ///< Newest row length, for context incidents.
 };
 
 /// A parsed `.mhmi` bundle (mhm_tool incidents show/replay).

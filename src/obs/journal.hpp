@@ -2,25 +2,25 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "obs/interval_ring.hpp"
 #include "obs/obs.hpp"
 
 namespace mhm::obs {
 
 /// Per-interval decision journal.
 ///
-/// The detector appends one DecisionRecord per analyzed interval — the
-/// projected coordinates, the density, the threshold it was compared
-/// against, and (for alarms) the cells that deviated most from the training
-/// baseline — so any alarm can be explained *after the fact* without
-/// re-running the scenario. Bounded ring buffer: with the paper's 10 ms
-/// intervals the default capacity retains the most recent ~20 s of
-/// decisions.
+/// Every analyzed interval leaves one DecisionRecord — the projected
+/// coordinates, the density, the threshold it was compared against, and (for
+/// alarms) the cells that deviated most from the training baseline — so any
+/// alarm can be explained *after the fact* without re-running the scenario.
+/// With the paper's 10 ms intervals the default capacity retains the most
+/// recent ~20 s of decisions.
 
 /// One cell's contribution to a flagged interval.
 struct CellContribution {
@@ -61,23 +61,34 @@ struct DecisionRecord {
   std::string note;
 };
 
-/// Thread-safe bounded ring of DecisionRecords (oldest overwritten).
+/// The journal as a view of the newest `capacity` entries of the session's
+/// IntervalRing. The ring holds each record's verdict fields; the journal
+/// keeps only what the ring lacks: a flat capacity × L′ reduced-coordinate
+/// column, the alarms' top cells and the sparse notes, all guarded by the
+/// ring's mutex. Thread-safe readers.
 class DecisionJournal {
  public:
   static constexpr std::size_t kDefaultCapacity = 2048;
 
-  explicit DecisionJournal(std::size_t capacity = kDefaultCapacity);
+  /// `ring` must hold at least `capacity` entries. `phases` is the
+  /// hyperperiod-phase modulus, `dims` the expected L′ (a wider projection
+  /// re-strides the column), `top_cells` the cells ranked per alarm.
+  DecisionJournal(std::shared_ptr<const IntervalRing> ring,
+                  std::size_t capacity, std::size_t phases, std::size_t dims,
+                  std::size_t top_cells);
 
-  /// No-op while observability is disabled.
-  void append(DecisionRecord record);
+  /// Side state of the ring's newest entry; the caller holds the ring's
+  /// mutex. For an alarm whose baseline `mean` / `stddev` matches `raw`,
+  /// ranks its top cells; a non-empty `note` is moved in. Allocation-free
+  /// once the side buffers are warm.
+  void record_locked(std::span<const double> reduced,
+                     std::span<const double> raw,
+                     std::span<const double> mean,
+                     std::span<const double> stddev, std::string& note);
 
-  /// Swap-based append for the per-interval hot path: `record` receives the
-  /// evicted slot's buffers, so a caller that refills the same record next
-  /// interval allocates nothing in steady state. No-op while disabled.
-  void append_swap(DecisionRecord& record);
-
-  /// Oldest-to-newest copy of the retained records.
-  std::vector<DecisionRecord> snapshot() const;
+  /// Oldest-to-newest copy of the newest `tail` retained records (all of
+  /// them by default).
+  std::vector<DecisionRecord> snapshot(std::size_t tail = SIZE_MAX) const;
 
   /// Retained records with `alarm` set, oldest first.
   std::vector<DecisionRecord> alarms() const;
@@ -85,18 +96,35 @@ class DecisionJournal {
   /// Most recent retained record for `interval_index`, if any.
   std::optional<DecisionRecord> find(std::uint64_t interval_index) const;
 
-  std::size_t capacity() const;
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
-  /// Appends since construction/clear (including overwritten records).
+  /// Intervals recorded since construction (including overwritten ones).
   std::uint64_t total_appended() const;
-  void clear();
 
  private:
-  mutable std::mutex mu_;
-  std::vector<DecisionRecord> ring_;
+  /// The sparse side state of one record: an alarm's top cells, a note.
+  struct Extra {
+    std::uint64_t seq = 0;
+    std::vector<CellContribution> top_cells;
+    std::string note;
+  };
+
+  /// Records for ring sequences [from, to), oldest first; ring mutex held.
+  std::vector<DecisionRecord> records_locked(std::uint64_t from,
+                                             std::uint64_t to) const;
+
+  std::shared_ptr<const IntervalRing> ring_;
+  std::size_t capacity_;
+  std::size_t phases_;
+  std::size_t top_cells_;
+  std::size_t stride_;
+  std::vector<double> coords_;       ///< capacity_ × stride_.
+  std::vector<std::uint32_t> dims_;  ///< L′ of each slot.
+  /// Circular, in sequence order: live_ entries from head_. Entries older
+  /// than the journal are dropped from the front, their buffers reused.
+  std::vector<Extra> extras_;
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t total_ = 0;
+  std::size_t live_ = 0;
 };
 
 }  // namespace mhm::obs

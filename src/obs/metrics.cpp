@@ -31,6 +31,7 @@ std::atomic<std::uint64_t>& last_analysis_ns() {
 }  // namespace
 
 void mark_analysis() {
+  if (!enabled()) return;
   last_analysis_ns().store(steady_ns(), std::memory_order_relaxed);
 }
 

@@ -6,8 +6,8 @@
 #include <mutex>
 
 #include "obs/export.hpp"
-#include "obs/history.hpp"
 #include "obs/incident.hpp"
+#include "obs/interval_ring.hpp"
 #include "obs/metrics.hpp"
 
 namespace mhm::obs {
@@ -276,7 +276,8 @@ ModelHealthStatus ModelHealthMonitor::observe(double, double, std::size_t,
                                               bool, std::uint64_t) {
   return ModelHealthStatus::kOk;
 }
-void ModelHealthMonitor::attach_views(std::shared_ptr<const ScoreHistory>,
+void ModelHealthMonitor::attach_views(std::shared_ptr<const IntervalRing>,
+                                      std::size_t,
                                       std::shared_ptr<const IncidentRecorder>) {
 }
 ModelHealthStatus ModelHealthMonitor::status() const {
@@ -320,7 +321,8 @@ struct ModelHealthMonitor::Impl {
       "model_health.drift_events", "transitions into DRIFTING");
   Counter& c_breach = Registry::instance().counter(
       "model_health.calibration_breaches", "transitions into MISCALIBRATED");
-  std::shared_ptr<const ScoreHistory> history;    ///< recent_scores view.
+  std::shared_ptr<const IntervalRing> ring;       ///< recent_scores view.
+  std::size_t recent = 0;                         ///< Its length.
   std::shared_ptr<const IncidentRecorder> rows;   ///< heat_row view.
 
   Impl(const std::vector<double>& training_scores,
@@ -446,10 +448,11 @@ ModelHealthStatus ModelHealthMonitor::status() const {
 }
 
 void ModelHealthMonitor::attach_views(
-    std::shared_ptr<const ScoreHistory> history,
+    std::shared_ptr<const IntervalRing> ring, std::size_t recent,
     std::shared_ptr<const IncidentRecorder> rows) {
   std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->history = std::move(history);
+  impl_->ring = std::move(ring);
+  impl_->recent = recent;
   impl_->rows = std::move(rows);
 }
 
@@ -490,12 +493,14 @@ ModelHealthSnapshot ModelHealthMonitor::snapshot() const {
   s.component_weights = im.weights;
   s.component_occupancy = im.occupancy;
   s.events = im.events;
-  const std::shared_ptr<const ScoreHistory> history = im.history;
+  const std::shared_ptr<const IntervalRing> ring = im.ring;
+  const std::size_t recent = im.recent;
   const std::shared_ptr<const IncidentRecorder> rows = im.rows;
   lk.unlock();  // The views take their own locks.
-  if (history != nullptr) {
-    for (const HistorySample& h : history->raw_snapshot()) {
-      s.recent_scores.push_back(h.score);
+  if (ring != nullptr) {
+    std::lock_guard<std::mutex> ring_lock(ring->mutex());
+    for (std::uint64_t seq = ring->first(recent); seq < ring->total(); ++seq) {
+      s.recent_scores.push_back(ring->at(seq).score);
     }
   }
   if (rows != nullptr) {

@@ -165,8 +165,8 @@ struct ModelHealthSnapshot {
   std::vector<double> component_weights;
   std::vector<std::uint64_t> component_occupancy;
   std::vector<ModelHealthEvent> events;
-  /// The score history's raw ring, oldest first (spans model swaps; empty
-  /// without a history view).
+  /// The session ring's newest scores, oldest first (spans model swaps;
+  /// empty without a ring view).
   std::vector<double> recent_scores;
   /// The incident recorder's newest captured heat-map row and its interval
   /// (empty and 0 without a recorder view or captured rows).
@@ -175,7 +175,7 @@ struct ModelHealthSnapshot {
 };
 
 class IncidentRecorder;
-class ScoreHistory;
+class IntervalRing;
 
 class ModelHealthMonitor {
  public:
@@ -203,10 +203,11 @@ class ModelHealthMonitor {
                             std::size_t pattern, bool alarm,
                             std::uint64_t interval_index);
 
-  /// Point snapshot()'s `recent_scores` at `history`'s raw ring and its
-  /// heat row at `rows`' newest captured row. Either may be null; that part
-  /// of the snapshot is then empty. Thread-safe.
-  void attach_views(std::shared_ptr<const ScoreHistory> history,
+  /// Point snapshot()'s `recent_scores` at the newest `recent` scores of
+  /// `ring` and its heat row at `rows`' newest captured row. Either may be
+  /// null; that part of the snapshot is then empty. Thread-safe.
+  void attach_views(std::shared_ptr<const IntervalRing> ring,
+                    std::size_t recent,
                     std::shared_ptr<const IncidentRecorder> rows);
 
   ModelHealthStatus status() const;

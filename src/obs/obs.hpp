@@ -48,9 +48,10 @@ inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-/// Liveness heartbeat: the detector stamps the monotonic clock after every
-/// analyzed interval; /healthz reports the age of the newest stamp so an
-/// external agent can tell "process up" from "process up and analyzing".
+/// Liveness heartbeat: each scoring call (Session::analyze, one per
+/// analyze_shard) stamps the monotonic clock while the layer is enabled;
+/// /healthz reports the age of the newest stamp so an external agent can
+/// tell "process up" from "process up and analyzing".
 void mark_analysis();
 /// Seconds since the last mark_analysis() (-1 before the first one).
 double last_analysis_age_seconds();

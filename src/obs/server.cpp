@@ -326,13 +326,8 @@ void MonitorServer::Impl::respond(int fd, const std::string& target) {
     if (!u64_param_or_400(fd, query, "tail", &tail64)) return;
     const std::size_t tail = static_cast<std::size_t>(
         std::min<std::uint64_t>(tail64, SIZE_MAX));
-    const auto records = j->snapshot();
-    const std::size_t first =
-        records.size() > tail ? records.size() - tail : 0;
     std::ostringstream os;
-    for (std::size_t i = first; i < records.size(); ++i) {
-      os << decision_json(records[i]) << "\n";
-    }
+    for (const auto& rec : j->snapshot(tail)) os << decision_json(rec) << "\n";
     send_response(fd, 200, "OK", "application/x-ndjson", os.str());
     return;
   }

@@ -1,25 +1,29 @@
 // Zero-allocation contracts of the scoring path. This binary replaces the
 // global operator new with a counting one, so a test can prove that a warm
 // scorer never touches the heap: score_snapshot from a HeatMap's counts,
-// score_snapshot_batch (full tiles and a ragged tail), and an alarm-free
-// Session::analyze(const HeatMap&) under default options once the decision
-// journal's ring has filled (until then each interval swaps a fresh record
-// into an empty slot, which allocates its reduced-coordinate buffer).
+// score_snapshot_batch (full tiles and a ragged tail), an alarm-free
+// Session::analyze(const HeatMap&) under default options, and a whole
+// incident — the trigger interval and its post window — once the incident
+// recorder's buffers are warm.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "core/snapshot.hpp"
 #include "engine/engine.hpp"
+#include "obs/incident.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -187,6 +191,62 @@ TEST_F(AllocTest, AlarmFreeSessionAnalyzeIsAllocationFreeOnceJournalFills) {
   const std::uint64_t allocs = counter.stop();
   ASSERT_EQ(alarms, 0u);
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST_F(AllocTest, IncidentTriggerAndPostWindowAreAllocationFree) {
+  // The verdicts of an incident window live in the session ring and its rows
+  // in the recorder's preallocated row ring, so from the trigger interval
+  // until the commit hand-off nothing is copied onto the heap. The first
+  // burst warms every buffer an alarm touches (the row ring, the recorder's
+  // top cells, the journal's alarm-cell slots); the second, once the first
+  // has aged out of the journal, is the one measured.
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer off: nothing is recorded";
+  engine::SessionOptions options;
+  options.journal_capacity = 64;
+  engine::Session session =
+      engine::DetectionEngine(*model_).new_session(options);
+  obs::IncidentOptions trigger;  // pre 16, post 16, 3 alarms in 8 intervals.
+  trigger.min_gap = 128;
+  obs::IncidentStore::Options store_options;
+  store_options.dir = ::testing::TempDir() + "mhm_alloc_incident";
+  std::filesystem::create_directories(store_options.dir);
+  auto store = std::make_shared<obs::IncidentStore>(store_options);
+  session.attach_incidents(trigger, store);
+
+  HeatMap attacked = maps_->front();
+  for (std::size_t c = 0; c < 32; ++c) attacked.increment(c, 400);
+  std::uint64_t next = 0;
+  HeatMap map = maps_->front();
+  const auto analyze_next = [&](bool attack) {
+    map = attack ? attacked : (*maps_)[next % maps_->size()];
+    map.interval_index = next++;
+    return session.analyze(map).anomalous;
+  };
+  const auto burst = [&] {
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(analyze_next(true));
+  };
+  for (std::size_t i = 0; i < 64; ++i) ASSERT_FALSE(analyze_next(false));
+  burst();
+  ASSERT_TRUE(analyze_next(true));
+  for (std::size_t i = 0; i < trigger.post; ++i) analyze_next(false);
+  ASSERT_EQ(store->total_committed(), 1u);
+  for (std::size_t i = 0; i < 200; ++i) ASSERT_FALSE(analyze_next(false));
+  burst();
+
+  AllocCounter counter;
+  const bool trigger_alarm = analyze_next(true);
+  std::size_t alarms = 0;
+  for (std::size_t i = 0; i + 1 < trigger.post; ++i) {
+    alarms += analyze_next(false);
+  }
+  const std::uint64_t allocs = counter.stop();
+  ASSERT_TRUE(trigger_alarm);
+  ASSERT_EQ(alarms, 0u);
+  ASSERT_TRUE(session.incident_recorder()->pending());
+  EXPECT_EQ(allocs, 0u);
+  analyze_next(false);  // The commit hand-off.
+  EXPECT_EQ(store->total_committed(), 2u);
+  std::filesystem::remove_all(store_options.dir);
 }
 
 }  // namespace

@@ -6,10 +6,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <string>
 
 namespace mhm::obs {
 namespace {
+
+/// A history over its own ring, appended the way StreamObserver::record
+/// appends: push the row, then fold it, under the ring's lock.
+struct RingHistory {
+  explicit RingHistory(const HistoryOptions& opts)
+      : ring(std::make_shared<IntervalRing>(opts.raw_capacity)),
+        history(ring, opts) {}
+  void append(const IntervalRow& row) {
+    std::lock_guard<std::mutex> lk(ring->mutex());
+    ring->push(row);
+    history.fold_locked(row);
+  }
+  std::shared_ptr<IntervalRing> ring;
+  ScoreHistory history;
+};
 
 HistorySample sample_at(std::uint64_t interval, double score,
                         bool alarm = false, std::uint8_t status = 0) {
@@ -27,9 +44,10 @@ TEST(HistoryTest, RawRingKeepsNewestOldestFirst) {
   HistoryOptions opts;
   opts.raw_capacity = 4;
   opts.tiers = 0;
-  ScoreHistory history(opts);
+  RingHistory rh(opts);
+  const ScoreHistory& history = rh.history;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    history.append(sample_at(i, -static_cast<double>(i)));
+    rh.append(sample_at(i, -static_cast<double>(i)));
   }
   const auto raw = history.raw_snapshot();
   ASSERT_EQ(raw.size(), 4u);
@@ -44,11 +62,12 @@ TEST(HistoryTest, FoldCommitsMinMeanMaxBins) {
   opts.bin_capacity = 8;
   opts.fold = 4;
   opts.tiers = 1;
-  ScoreHistory history(opts);
+  RingHistory rh(opts);
+  const ScoreHistory& history = rh.history;
   // One full fold: scores -1, -2, -3, -4 with an alarm on the last.
   for (std::uint64_t i = 0; i < 4; ++i) {
-    history.append(sample_at(i, -static_cast<double>(i + 1), i == 3,
-                             i == 3 ? 1 : 0));
+    rh.append(sample_at(i, -static_cast<double>(i + 1), i == 3,
+                        i == 3 ? 1 : 0));
   }
   const auto bins = history.tier_snapshot(1);
   ASSERT_EQ(bins.size(), 1u);
@@ -68,12 +87,13 @@ TEST(HistoryTest, TierTwoSpansFoldSquared) {
   opts.bin_capacity = 8;
   opts.fold = 2;
   opts.tiers = 2;
-  ScoreHistory history(opts);
+  RingHistory rh(opts);
+  const ScoreHistory& history = rh.history;
   EXPECT_EQ(history.span_at(0), 1u);
   EXPECT_EQ(history.span_at(1), 2u);
   EXPECT_EQ(history.span_at(2), 4u);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    history.append(sample_at(i, -static_cast<double>(i)));
+    rh.append(sample_at(i, -static_cast<double>(i)));
   }
   const auto t1 = history.tier_snapshot(1);
   const auto t2 = history.tier_snapshot(2);
@@ -96,16 +116,17 @@ TEST(HistoryTest, MemoryIsFixedAndWithinFleetBudget) {
   opts.bin_capacity = 16;
   opts.fold = 8;
   opts.tiers = 1;
-  ScoreHistory history(opts);
+  RingHistory rh(opts);
+  const ScoreHistory& history = rh.history;
   const std::size_t before = history.memory_bytes();
   for (std::uint64_t i = 0; i < 10000; ++i) {
-    history.append(sample_at(i, -1.0));
+    rh.append(sample_at(i, -1.0));
   }
   EXPECT_EQ(history.memory_bytes(), before);
   EXPECT_LT(history.memory_bytes(), 64u * 1024u);
   // The single-stream default also fits the per-session budget.
-  ScoreHistory full{HistoryOptions{}};
-  EXPECT_LT(full.memory_bytes(), 64u * 1024u);
+  RingHistory full{HistoryOptions{}};
+  EXPECT_LT(full.history.memory_bytes(), 64u * 1024u);
 }
 
 TEST(HistoryTest, JsonRendersSeriesAndResolution) {
@@ -114,9 +135,10 @@ TEST(HistoryTest, JsonRendersSeriesAndResolution) {
   opts.bin_capacity = 4;
   opts.fold = 2;
   opts.tiers = 1;
-  ScoreHistory history(opts);
+  RingHistory rh(opts);
+  const ScoreHistory& history = rh.history;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    history.append(sample_at(i, -2.0, i == 1));
+    rh.append(sample_at(i, -2.0, i == 1));
   }
   const std::string raw = history_json(history, "score", 0);
   EXPECT_NE(raw.find("\"res\":0"), std::string::npos);
@@ -135,9 +157,10 @@ TEST(HistoryTest, JsonRendersSeriesAndResolution) {
 }
 
 TEST(HistoryTest, JsonFromFiltersOldEntries) {
-  ScoreHistory history{HistoryOptions{}};
+  RingHistory rh{HistoryOptions{}};
+  const ScoreHistory& history = rh.history;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    history.append(sample_at(i, -1.0));
+    rh.append(sample_at(i, -1.0));
   }
   const std::string tail = history_json(history, "score", 0, 8);
   EXPECT_EQ(tail.find("\"interval\":7"), std::string::npos);

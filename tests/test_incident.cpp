@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,23 +54,35 @@ class IncidentTest : public ::testing::Test {
     return o;
   }
 
-  /// One interval with a deterministic 4-cell row.
-  static void feed(IncidentRecorder& rec, std::uint64_t interval, bool alarm,
-                   std::uint8_t status = 0) {
+  /// One interval with a deterministic 4-cell row: its ring row first, as
+  /// StreamObserver::record writes it, then the recorder's note.
+  void feed(IncidentRecorder& rec, std::uint64_t interval, bool alarm,
+            std::uint8_t status = 0) {
     const double row[4] = {static_cast<double>(interval), 1.0, 2.0, 3.0};
     const double mean[4] = {0.0, 1.0, 2.0, 3.0};
     const double stddev[4] = {1.0, 1.0, 1.0, 1.0};
-    rec.note(interval, -20.0 - static_cast<double>(interval) / 3.0,
-             0.25 * static_cast<double>(interval), alarm, 2, 9, -25.5, status,
-             row, mean, stddev);
+    {
+      std::lock_guard<std::mutex> lk(ring_->mutex());
+      ring_->push(IntervalRow{
+          .interval = interval,
+          .score = -20.0 - static_cast<double>(interval) / 3.0,
+          .spe = 0.25 * static_cast<double>(interval),
+          .threshold = -25.5,
+          .alarm = alarm,
+          .status = status,
+          .pattern = 2,
+          .model_version = 9});
+    }
+    rec.note(row, mean, stddev);
   }
 
   std::filesystem::path dir_;
   std::shared_ptr<IncidentStore> store_;
+  std::shared_ptr<IntervalRing> ring_ = std::make_shared<IntervalRing>(1);
 };
 
 TEST_F(IncidentTest, AlarmBurstCommitsParseableBundle) {
-  IncidentRecorder rec(small_options(), store_);
+  IncidentRecorder rec(small_options(), store_, ring_);
   for (std::uint64_t i = 0; i < 5; ++i) feed(rec, i, false);
   feed(rec, 5, true);
   feed(rec, 6, true);  // Second alarm in the window: trigger.
@@ -114,7 +127,7 @@ TEST_F(IncidentTest, AlarmBurstCommitsParseableBundle) {
 }
 
 TEST_F(IncidentTest, HealthTransitionTriggers) {
-  IncidentRecorder rec(small_options(), store_);
+  IncidentRecorder rec(small_options(), store_, ring_);
   feed(rec, 0, false, 0);
   feed(rec, 1, false, 1);  // OK -> DRIFTING.
   feed(rec, 2, false, 1);
@@ -127,7 +140,7 @@ TEST_F(IncidentTest, HealthTransitionTriggers) {
 }
 
 TEST_F(IncidentTest, MinGapRateLimitsRepeatTriggers) {
-  IncidentRecorder rec(small_options(), store_);
+  IncidentRecorder rec(small_options(), store_, ring_);
   for (std::uint64_t i = 0; i < 20; ++i) feed(rec, i, true);
   // One sustained alarm wave: exactly one bundle, the rest suppressed.
   EXPECT_EQ(rec.committed(), 1u);
@@ -161,7 +174,7 @@ TEST_F(IncidentTest, PartialWriteParsesAsTruncated) {
 }
 
 TEST_F(IncidentTest, JsonSurfacesAndUnknownId) {
-  IncidentRecorder rec(small_options(), store_);
+  IncidentRecorder rec(small_options(), store_, ring_);
   for (std::uint64_t i = 0; i < 5; ++i) feed(rec, i, false);
   feed(rec, 5, true);
   feed(rec, 6, true);
@@ -181,7 +194,7 @@ TEST_F(IncidentTest, JsonSurfacesAndUnknownId) {
 }
 
 TEST_F(IncidentTest, UnknownSectionsAreSkipped) {
-  IncidentRecorder rec(small_options(), store_);
+  IncidentRecorder rec(small_options(), store_, ring_);
   for (std::uint64_t i = 0; i < 5; ++i) feed(rec, i, false);
   feed(rec, 5, true);
   feed(rec, 6, true);
@@ -245,7 +258,7 @@ TEST_F(IncidentTest, SignalLeavesCompleteCrashBundle) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    IncidentRecorder rec(small_options(), store_);
+    IncidentRecorder rec(small_options(), store_, ring_);
     feed(rec, 0, false);
     if (!store_->arm()) ::_exit(77);
     // Past one refresh period, the next interval re-renders the bundle.
@@ -276,7 +289,7 @@ TEST_F(IncidentTest, SignalLeavesCompleteCrashBundle) {
 TEST_F(IncidentTest, NullStoreRunsTriggerLogicWithoutWriting) {
   // The trigger machinery still runs (the window completes and counts), but
   // with no store attached nothing reaches disk.
-  IncidentRecorder rec(small_options(), nullptr);
+  IncidentRecorder rec(small_options(), nullptr, ring_);
   for (std::uint64_t i = 0; i < 10; ++i) feed(rec, i, true);
   EXPECT_EQ(rec.committed(), 1u);
   EXPECT_TRUE(std::filesystem::is_empty(dir_));

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "obs/history.hpp"
 #include "obs/incident.hpp"
+#include "obs/interval_ring.hpp"
 #include "obs/model_health.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
@@ -236,26 +238,29 @@ TEST(ModelHealthMonitorTest, SnapshotBookkeepingAndReset) {
   EnabledGuard guard;
   if (!enabled()) GTEST_SKIP() << "obs layer compiled out";
   MonitorFixture fx(ModelHealthOptions{});
-  // The sparkline and heat row are views of the stream's own score history
+  // The sparkline and heat row are views of the stream's own interval ring
   // and incident recorder; the monitor keeps neither.
-  HistoryOptions ho;
-  ho.raw_capacity = 4;
-  auto history = std::make_shared<ScoreHistory>(ho);
-  auto rows = std::make_shared<IncidentRecorder>(IncidentOptions{}, nullptr);
-  fx.monitor.attach_views(history, rows);
+  auto ring = std::make_shared<IntervalRing>(4);
+  auto rows =
+      std::make_shared<IncidentRecorder>(IncidentOptions{}, nullptr, ring);
+  fx.monitor.attach_views(ring, 4, rows);
   for (std::uint64_t n = 0; n < 7; ++n) {
     const double score = fx.train_mean + static_cast<double>(n);
     const std::vector<double> row(16, static_cast<double>(n));
     fx.feed(score, false, n);
-    HistorySample sample;
-    sample.interval = n;
-    sample.score = score;
-    history->append(sample);
-    rows->note(n, score, 0.5, false, n % 3, 0, -30.0, 0, row, {}, {});
+    {
+      std::lock_guard<std::mutex> lk(ring->mutex());
+      ring->push(IntervalRow{.interval = n,
+                             .score = score,
+                             .spe = 0.5,
+                             .threshold = -30.0,
+                             .pattern = static_cast<std::uint32_t>(n % 3)});
+    }
+    rows->note(row, {}, {});
   }
   ModelHealthSnapshot snap = fx.monitor.snapshot();
   EXPECT_EQ(snap.intervals, 7u);
-  // History ring of 4, oldest first: observations 3, 4, 5, 6.
+  // Newest 4 ring scores, oldest first: observations 3, 4, 5, 6.
   ASSERT_EQ(snap.recent_scores.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(snap.recent_scores[i],
@@ -271,7 +276,7 @@ TEST(ModelHealthMonitorTest, SnapshotBookkeepingAndReset) {
   EXPECT_EQ(snap.last_row, std::vector<double>(16, 6.0));
 
   // Detaching the views empties both arrays and keeps every statistic.
-  fx.monitor.attach_views(nullptr, nullptr);
+  fx.monitor.attach_views(nullptr, 0, nullptr);
   snap = fx.monitor.snapshot();
   EXPECT_EQ(snap.intervals, 7u);
   EXPECT_EQ(snap.component_occupancy[0], 3u);

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +42,18 @@
 
 namespace mhm::obs {
 namespace {
+
+/// Push `row` into `ring` and update the views (each may be null) the way
+/// StreamObserver::record does, under the ring's one lock.
+void record_row(IntervalRing& ring, const IntervalRow& row,
+                DecisionJournal* journal = nullptr,
+                ScoreHistory* history = nullptr) {
+  std::string note;
+  std::lock_guard<std::mutex> lk(ring.mutex());
+  ring.push(row);
+  if (journal != nullptr) journal->record_locked({}, {}, {}, {}, note);
+  if (history != nullptr) history->fold_locked(row);
+}
 
 /// Minimal recursive-descent JSON validity checker — enough to assert the
 /// exporters emit well-formed documents without pulling in a JSON library.
@@ -396,14 +409,15 @@ TEST_F(MonitorServerTest, StatusSnapshotIsValidJson) {
 }
 
 TEST_F(MonitorServerTest, JournalServesTailAsJsonLines) {
-  auto journal = std::make_shared<DecisionJournal>(16);
+  auto ring = std::make_shared<IntervalRing>(16);
+  auto journal = std::make_shared<DecisionJournal>(ring, 16, 10, 0, 8);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    DecisionRecord rec;
-    rec.interval_index = i;
-    rec.log10_density = -20.0 - static_cast<double>(i);
-    rec.threshold = -30.0;
-    rec.alarm = i == 7;
-    journal->append_swap(rec);
+    record_row(*ring,
+               IntervalRow{.interval = i,
+                           .score = -20.0 - static_cast<double>(i),
+                           .threshold = -30.0,
+                           .alarm = i == 7},
+               journal.get());
   }
   server_.set_journal(journal);
 
@@ -553,15 +567,16 @@ TEST_F(MonitorServerTest, HistoryServesMultiResolutionJson) {
   opts.bin_capacity = 8;
   opts.fold = 4;
   opts.tiers = 1;
-  auto history = std::make_shared<ScoreHistory>(opts);
+  auto ring = std::make_shared<IntervalRing>(opts.raw_capacity);
+  auto history = std::make_shared<ScoreHistory>(ring, opts);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    HistorySample s;
-    s.interval = i;
-    s.score = -20.0 - static_cast<double>(i);
-    s.spe = 0.5;
-    s.alarm = i == 7;
-    s.model_version = 4;
-    history->append(s);
+    record_row(*ring,
+               IntervalRow{.interval = i,
+                           .score = -20.0 - static_cast<double>(i),
+                           .spe = 0.5,
+                           .alarm = i == 7,
+                           .model_version = 4},
+               nullptr, history.get());
   }
   server_.set_history(history);
 
@@ -588,16 +603,12 @@ TEST_F(MonitorServerTest, HistoryServesMultiResolutionJson) {
 }
 
 TEST_F(MonitorServerTest, MalformedQueryParamsAnswer400JsonNever500) {
-  auto history = std::make_shared<ScoreHistory>(HistoryOptions{});
-  HistorySample s;
-  s.interval = 1;
-  s.score = -21.0;
-  history->append(s);
+  auto ring = std::make_shared<IntervalRing>(256);
+  auto history = std::make_shared<ScoreHistory>(ring, HistoryOptions{});
+  auto journal = std::make_shared<DecisionJournal>(ring, 8, 10, 0, 8);
+  record_row(*ring, IntervalRow{.interval = 1, .score = -21.0}, journal.get(),
+             history.get());
   server_.set_history(history);
-  auto journal = std::make_shared<DecisionJournal>(8);
-  DecisionRecord rec;
-  rec.interval_index = 1;
-  journal->append_swap(rec);
   server_.set_journal(journal);
 
   const char* bad[] = {
@@ -635,10 +646,17 @@ TEST_F(MonitorServerTest, IncidentsServesListAndDetail) {
   inc_opts.post = 1;
   inc_opts.burst_count = 1;
   inc_opts.burst_window = 4;
-  IncidentRecorder recorder(inc_opts, store);
+  auto ring = std::make_shared<IntervalRing>(1);
+  IncidentRecorder recorder(inc_opts, store, ring);
   const double row[2] = {1.0, 2.0};
   for (std::uint64_t i = 0; i < 4; ++i) {
-    recorder.note(i, -30.0, 0.5, i == 1, 0, 3, -25.0, 0, row, {}, {});
+    record_row(*ring, IntervalRow{.interval = i,
+                                  .score = -30.0,
+                                  .spe = 0.5,
+                                  .threshold = -25.0,
+                                  .alarm = i == 1,
+                                  .model_version = 3});
+    recorder.note(row, {}, {});
   }
   ASSERT_EQ(store->total_committed(), 1u);
   server_.set_incidents(store);
@@ -673,7 +691,8 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   // monitor's sparkline and heat row are views of the same history and
   // recorder, read under their own locks, and the store renders them into
   // its crash and flush bundles: neither path may deadlock.
-  auto history = std::make_shared<ScoreHistory>(HistoryOptions{});
+  auto ring = std::make_shared<IntervalRing>(256);
+  auto history = std::make_shared<ScoreHistory>(ring, HistoryOptions{});
   const std::string dir = std::string(::testing::TempDir()) +
                           "mhm_server_incidents_race";
   ::mkdir(dir.c_str(), 0755);
@@ -686,11 +705,11 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   inc_opts.burst_count = 1;
   inc_opts.burst_window = 2;
   inc_opts.min_gap = 8;
-  auto recorder = std::make_shared<IncidentRecorder>(inc_opts, store);
+  auto recorder = std::make_shared<IncidentRecorder>(inc_opts, store, ring);
   auto monitor = std::make_shared<ModelHealthMonitor>(
       std::vector<double>{-21.0, -20.0, -19.0}, std::vector<double>{1.0},
       ModelHealthOptions{});
-  monitor->attach_views(history, recorder);
+  monitor->attach_views(ring, 256, recorder);
   server_.set_history(history);
   server_.set_incidents(store);
   server_.set_model_health(monitor);
@@ -710,12 +729,16 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   }
   const double row[2] = {1.0, 2.0};
   for (std::uint64_t i = 0; i < 200; ++i) {
-    HistorySample s;
-    s.interval = i;
-    s.score = -20.0;
-    monitor->observe(s.score, 0.5, 0, i % 16 == 0, i);
-    history->append(s);
-    recorder->note(i, -30.0, 0.5, i % 16 == 0, 0, 3, -25.0, 0, row, {}, {});
+    monitor->observe(-20.0, 0.5, 0, i % 16 == 0, i);
+    record_row(*ring,
+               IntervalRow{.interval = i,
+                           .score = -20.0,
+                           .spe = 0.5,
+                           .threshold = -25.0,
+                           .alarm = i % 16 == 0,
+                           .model_version = 3},
+               nullptr, history.get());
+    recorder->note(row, {}, {});
     // Past one refresh period: the next note re-renders the crash bundle.
     if (i == 100) std::this_thread::sleep_for(std::chrono::milliseconds(260));
   }
@@ -750,10 +773,16 @@ TEST(BlackBoxTest, FlushWritesParseableContextBundle) {
   auto store = std::make_shared<IncidentStore>(opts);
   IncidentOptions inc_opts;
   inc_opts.pre = 2;
-  IncidentRecorder recorder(inc_opts, store);
+  auto ring = std::make_shared<IntervalRing>(1);
+  IncidentRecorder recorder(inc_opts, store, ring);
   const std::vector<double> row = {1.0, 2.0, 3.0};
   for (std::uint64_t i = 39; i <= 41; ++i) {
-    recorder.note(i, -20.0, 0.5, false, 0, 5, -25.0, 0, row, {}, {});
+    record_row(*ring, IntervalRow{.interval = i,
+                                  .score = -20.0,
+                                  .spe = 0.5,
+                                  .threshold = -25.0,
+                                  .model_version = 5});
+    recorder.note(row, {}, {});
   }
   ASSERT_TRUE(store->arm([] { return std::string("== journal tail=0 ==\n"); }));
   EXPECT_TRUE(store->armed());

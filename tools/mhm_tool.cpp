@@ -152,6 +152,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -798,11 +799,11 @@ int cmd_serve(const Args& args) {
   session.attach_incidents(inc_trigger, incidents);
   const bool armed = incidents->arm([journal = session.journal_ptr(),
                                      &live_health] {
-    const std::vector<obs::DecisionRecord> records = journal->snapshot();
-    const std::size_t tail = std::min<std::size_t>(64, records.size());
-    std::string out = "== journal tail=" + std::to_string(tail) + " ==\n";
-    for (std::size_t i = records.size() - tail; i < records.size(); ++i) {
-      out += obs::decision_json(records[i]) + "\n";
+    const std::vector<obs::DecisionRecord> records = journal->snapshot(64);
+    std::string out =
+        "== journal tail=" + std::to_string(records.size()) + " ==\n";
+    for (const obs::DecisionRecord& rec : records) {
+      out += obs::decision_json(rec) + "\n";
     }
     if (const auto monitor = live_health.load()) {
       out += "== model_health ==\n" +
@@ -1145,8 +1146,8 @@ int cmd_incidents_replay(const Args& args) {
     ++checked;
   }
   if (checked == 0) {
-    std::fprintf(stderr, "incidents replay: no heat-map rows captured in %s "
-                         "(recorded with capture_rows off?)\n",
+    std::fprintf(stderr, "incidents replay: no heat-map rows in %s "
+                         "(cut off before its rows section?)\n",
                  in_path.c_str());
     return 1;
   }
@@ -1646,12 +1647,22 @@ int main(int argc, char** argv) {
       obs::IncidentStore::Options opts;
       opts.dir = args.get("dir", ".");
       auto store = std::make_shared<obs::IncidentStore>(opts);
-      obs::IncidentRecorder recorder(obs::IncidentOptions{}, store);
+      auto ring = std::make_shared<obs::IntervalRing>(1);
+      obs::IncidentRecorder recorder(obs::IncidentOptions{}, store, ring);
       for (std::uint64_t i = 40; i <= 44; ++i) {
         const std::vector<double> row(8, static_cast<double>(i));
-        recorder.note(i, -10.0 - static_cast<double>(i) / 3.0,
-                      0.5 * static_cast<double>(i), i >= 42, 1, 7, -12.5, 0,
-                      row, {}, {});
+        {
+          std::lock_guard<std::mutex> lk(ring->mutex());
+          ring->push(obs::IntervalRow{
+              .interval = i,
+              .score = -10.0 - static_cast<double>(i) / 3.0,
+              .spe = 0.5 * static_cast<double>(i),
+              .threshold = -12.5,
+              .alarm = i >= 42,
+              .pattern = 1,
+              .model_version = 7});
+        }
+        recorder.note(row, {}, {});
       }
       if (!store->arm()) {
         std::fprintf(stderr, "selftest-crash: cannot arm (obs compiled "
