@@ -18,6 +18,9 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;  // ln(2π)
 
+/// Samples per E-step block of Gmm::fit (the responsibilities_batch width).
+constexpr std::size_t kEmBlock = 256;
+
 double log_sum_exp(const std::vector<double>& xs) {
   double peak = -std::numeric_limits<double>::infinity();
   for (double x : xs) peak = std::max(peak, x);
@@ -320,30 +323,41 @@ Gmm Gmm::fit(const std::vector<std::vector<double>>& data,
   const double floor = std::max(options.covariance_floor,
                                 options.covariance_floor * global_var);
 
-  Rng master(options.seed);
-  Gmm best;
-  double best_ll = -std::numeric_limits<double>::infinity();
+  // The reduced set, transposed once per fit into the d × kEmBlock column
+  // blocks that responsibilities_batch reads (block b0 starts at b0 · d).
+  std::vector<double> cols(n * d);
+  for (std::size_t b0 = 0; b0 < n; b0 += kEmBlock) {
+    const std::size_t bn = std::min(kEmBlock, n - b0);
+    for (std::size_t b = 0; b < bn; ++b) {
+      for (std::size_t c = 0; c < d; ++c) {
+        cols[b0 * d + c * bn + b] = data[b0 + b][c];
+      }
+    }
+  }
+  Matrix init_cov = Matrix::identity(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    init_cov(i, i) = std::max(global_var, floor);
+  }
 
-  obs::Counter& em_iterations = obs::Registry::instance().counter(
-      "core.gmm.em_iterations", "EM iterations run across fits and restarts");
-  obs::Gauge& ll_gauge = obs::Registry::instance().gauge(
-      "core.gmm.log_likelihood",
-      "training log-likelihood after the most recent EM iteration");
-
-  for (std::size_t restart = 0; restart < std::max<std::size_t>(1, options.restarts);
-       ++restart) {
-    OBS_SCOPE(kGmmRestart);
-    Rng rng = master.fork(restart + 1);
-
-    // --- initialization: k-means++ means, shared spherical covariance ---
+  struct Restart {
     Gmm model;
+    double final_ll = -std::numeric_limits<double>::infinity();
+    double last_ll = 0.0;        ///< Log-likelihood of the last E-step.
+    std::size_t iterations = 0;  ///< E-steps run.
+    bool failed = false;         ///< A covariance stopped being PD.
+  };
+
+  // One EM restart from k-means++ means and the shared spherical start
+  // covariance. Every buffer is sized here, once; the EM steps allocate
+  // nothing. Every accumulator sums over samples in ascending order, so
+  // the fit is the same at every width, restart by restart.
+  const auto run_restart = [&](Rng& rng) {
+    OBS_SCOPE(kGmmRestart);
+    Restart run;
+    Gmm& model = run.model;
     model.dim_ = d;
     model.components_.resize(j_count);
     const auto centers = kmeans_plus_plus_init(data, j_count, rng);
-    Matrix init_cov = Matrix::identity(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      init_cov(i, i) = std::max(global_var, floor);
-    }
     for (std::size_t j = 0; j < j_count; ++j) {
       model.components_[j].mean = centers[j];
       model.components_[j].covariance = init_cov;
@@ -351,77 +365,78 @@ Gmm Gmm::fit(const std::vector<std::vector<double>>& data,
     }
     model.rebuild_cache();
 
-    // --- EM iterations ---
-    double prev_ll = -std::numeric_limits<double>::infinity();
-    bool failed = false;
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-      // E-step: responsibilities and log-likelihood in one pass. Samples
-      // only write their own gamma row and ll slot; the log-likelihood is
-      // then folded serially in sample order, so the rounding matches the
-      // serial loop bit-for-bit at any thread count.
-      std::vector<std::vector<double>> gamma(n);
-      std::vector<double> sample_ll(n);
-      parallel_for(n, 0, [&](std::size_t i0, std::size_t i1) {
-        Scratch scratch;
-        for (std::size_t i = i0; i < i1; ++i) {
-          sample_ll[i] =
-              model.responsibilities_into(data[i], scratch, gamma[i]);
-        }
-      });
-      double ll = 0.0;
-      for (double v : sample_ll) ll += v;
-      em_iterations.add();
-      ll_gauge.set(ll);
+    std::vector<double> gamma(j_count * n);  // γ_j(x_i) at [j · n + i]
+    std::vector<double> sample_ll(n);
+    std::vector<double> terms;
+    std::vector<double> block_gamma;
+    BatchScratch batch;
+    std::vector<double> diff(d);
 
-      // M-step. Effective counts first; then the dead-component re-seeds are
-      // drawn serially in component order (the RNG stream must not depend on
-      // the execution order); the remaining per-component updates are
-      // independent and run in parallel.
-      std::vector<double> nj(j_count, 0.0);
-      parallel_for(j_count, 1, [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t j = b0; j < b1; ++j) {
-          double s = 0.0;
-          for (std::size_t i = 0; i < n; ++i) s += gamma[i][j];
-          nj[j] = s;
-        }
-      });
-      std::vector<std::ptrdiff_t> reseed(j_count, -1);
-      for (std::size_t j = 0; j < j_count; ++j) {
-        if (nj[j] < 1e-8) {
-          reseed[j] = static_cast<std::ptrdiff_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(n) - 1));
+    // E-step: responsibilities and per-sample log densities block by
+    // block, then the log-likelihood folded serially in sample order.
+    const auto e_step = [&] {
+      for (std::size_t b0 = 0; b0 < n; b0 += kEmBlock) {
+        const std::size_t bn = std::min(kEmBlock, n - b0);
+        model.responsibilities_batch({cols.data() + b0 * d, bn * d}, bn,
+                                     batch, terms, block_gamma,
+                                     {sample_ll.data() + b0, bn});
+        for (std::size_t j = 0; j < j_count; ++j) {
+          std::copy_n(block_gamma.data() + j * bn, bn,
+                      gamma.data() + j * n + b0);
         }
       }
-      parallel_for(j_count, 1, [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t j = b0; j < b1; ++j) {
-          auto& comp = model.components_[j];
-          if (reseed[j] >= 0) {
-            // Dead component: re-seed it at the pre-drawn random sample.
-            comp.mean = data[static_cast<std::size_t>(reseed[j])];
-            comp.covariance = init_cov;
-            comp.weight = 1.0 / static_cast<double>(n);
-            continue;
-          }
-          comp.weight = nj[j] / static_cast<double>(n);
-          // Mean.
-          std::vector<double> mu(d, 0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            linalg::axpy(gamma[i][j], data[i], mu);
-          }
-          linalg::scale(mu, 1.0 / nj[j]);
-          comp.mean = mu;
-          // Covariance (with diagonal floor).
-          Matrix cov(d, d, 0.0);
-          std::vector<double> diff(d);
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t c = 0; c < d; ++c) diff[c] = data[i][c] - mu[c];
-            linalg::syr_update(cov, gamma[i][j], diff);
-          }
-          for (double& v : cov.data()) v /= nj[j];
-          for (std::size_t k = 0; k < d; ++k) cov(k, k) += floor;
-          comp.covariance = std::move(cov);
+      return sum_log_likelihood(sample_ll);
+    };
+
+    double prev_ll = -std::numeric_limits<double>::infinity();
+    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+      const double ll = e_step();
+      run.last_ll = ll;
+      ++run.iterations;
+
+      // M-step, component by component: the effective count, then either
+      // a re-seed of a dead component (its draw taken in component order)
+      // or the new mean and covariance.
+      for (std::size_t j = 0; j < j_count; ++j) {
+        auto& comp = model.components_[j];
+        const double* g = gamma.data() + j * n;
+        double nj = 0.0;
+        for (std::size_t i = 0; i < n; ++i) nj += g[i];
+        if (nj < 1e-8) {
+          comp.mean = data[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
+          comp.covariance = init_cov;
+          comp.weight = 1.0 / static_cast<double>(n);
+          continue;
         }
-      });
+        comp.weight = nj / static_cast<double>(n);
+        // Mean: linalg::axpy's products, then linalg::scale's.
+        double* mu = comp.mean.data();
+        std::fill_n(mu, d, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double* x = data[i].data();
+          for (std::size_t c = 0; c < d; ++c) mu[c] += g[i] * x[c];
+        }
+        const double inv_nj = 1.0 / nj;
+        for (std::size_t c = 0; c < d; ++c) mu[c] *= inv_nj;
+        // Covariance: linalg::syr_update's products, rows whose product is
+        // zero skipped, then the diagonal floor.
+        double* cov = comp.covariance.data().data();
+        std::fill_n(cov, d * d, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (g[i] == 0.0) continue;  // every row's product is zero
+          const double* x = data[i].data();
+          for (std::size_t c = 0; c < d; ++c) diff[c] = x[c] - mu[c];
+          for (std::size_t r = 0; r < d; ++r) {
+            const double axr = g[i] * diff[r];
+            if (axr == 0.0) continue;
+            double* row = cov + r * d;
+            for (std::size_t c = 0; c < d; ++c) row[c] += axr * diff[c];
+          }
+        }
+        for (std::size_t k = 0; k < d * d; ++k) cov[k] /= nj;
+        for (std::size_t k = 0; k < d; ++k) cov[k * d + k] += floor;
+      }
       // Renormalize weights (re-seeded components can distort the sum).
       double wsum = 0.0;
       for (const auto& comp : model.components_) wsum += comp.weight;
@@ -430,24 +445,52 @@ Gmm Gmm::fit(const std::vector<std::vector<double>>& data,
       try {
         model.rebuild_cache();
       } catch (const NumericalError&) {
-        failed = true;
-        break;
+        run.failed = true;
+        return run;
       }
 
       if (std::isfinite(prev_ll) &&
           std::abs(ll - prev_ll) <=
               options.tolerance * std::max(1.0, std::abs(prev_ll))) {
-        prev_ll = ll;
         break;
       }
       prev_ll = ll;
     }
-    if (failed) continue;
+    run.final_ll = e_step();
+    return run;
+  };
 
-    const double final_ll = model.total_log_likelihood(data);
-    if (final_ll > best_ll) {
-      best_ll = final_ll;
-      best = std::move(model);
+  // Restarts run side by side, one per chunk; the EM inside each runs
+  // inline on its worker. Rng::fork advances the master stream, so every
+  // restart's stream is forked here, serially and in restart order.
+  const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
+  Rng master(options.seed);
+  std::vector<Rng> rngs;
+  rngs.reserve(restarts);
+  for (std::size_t r = 0; r < restarts; ++r) {
+    rngs.push_back(master.fork(r + 1));
+  }
+  std::vector<Restart> runs(restarts);
+  parallel_for(restarts, 1, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) runs[r] = run_restart(rngs[r]);
+  });
+
+  // Telemetry and the pick, serially in restart order. The gauge keeps the
+  // value the serial restart loop left: the last E-step of the
+  // highest-numbered restart that ran one.
+  obs::Counter& em_iterations = obs::Registry::instance().counter(
+      "core.gmm.em_iterations", "EM iterations run across fits and restarts");
+  obs::Gauge& ll_gauge = obs::Registry::instance().gauge(
+      "core.gmm.log_likelihood",
+      "training log-likelihood after the most recent EM iteration");
+  Gmm best;
+  double best_ll = -std::numeric_limits<double>::infinity();
+  for (Restart& run : runs) {
+    em_iterations.add(run.iterations);
+    if (run.iterations > 0) ll_gauge.set(run.last_ll);
+    if (!run.failed && run.final_ll > best_ll) {
+      best_ll = run.final_ll;
+      best = std::move(run.model);
     }
   }
 
