@@ -46,14 +46,23 @@ void householder_tridiagonalize(Matrix& a, Vector& diag, Vector& off) {
         off[i] = scale * g;
         h -= f * g;
         a(i, l) = f - g;
-        // p = A u / h, accumulate u in rows of `a`.
+        // p = A u / h, with A's lower triangle read row by row: row r adds
+        // its k <= r terms to p_r, then its term for every p_j with j < r
+        // (the term k = r of p_j's sum down column j). Each p_j thus sums
+        // its terms in ascending k, as a column-order sweep would.
+        const double* u = &a(i, 0);
+        for (std::size_t r = 0; r <= l; ++r) {
+          const double* row = &a(r, 0);
+          g = 0.0;
+          for (std::size_t k = 0; k <= r; ++k) g += row[k] * u[k];
+          off[r] = g;
+          const double ur = u[r];
+          for (std::size_t j = 0; j < r; ++j) off[j] += row[j] * ur;
+        }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
           a(j, i) = a(i, j) / h;  // store u/h for eigenvector accumulation
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          off[j] = g / h;
+          off[j] /= h;
           f += off[j] * a(i, j);
         }
         const double hh = f / (h + h);
@@ -78,13 +87,24 @@ void householder_tridiagonalize(Matrix& a, Vector& diag, Vector& off) {
   diag[0] = 0.0;
   off[0] = 0.0;
   // Accumulate transformation matrix in `a`.
+  Vector work(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t l = i;  // columns [0, l) already transformed
     if (diag[i] != 0.0) {
-      for (std::size_t j = 0; j < l; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < l; ++k) g += a(i, k) * a(k, j);
-        for (std::size_t k = 0; k < l; ++k) a(k, j) -= g * a(k, i);
+      // g_j = Σ_k a(i,k)·a(k,j) for every column j first, summed in
+      // ascending k one row at a time, then the rank-1 update row by row.
+      // Updating column j leaves every other g unchanged, so this matches
+      // the column-by-column order bit for bit.
+      std::fill_n(work.begin(), l, 0.0);
+      for (std::size_t k = 0; k < l; ++k) {
+        const double aik = a(i, k);
+        const double* row = &a(k, 0);
+        for (std::size_t j = 0; j < l; ++j) work[j] += aik * row[j];
+      }
+      for (std::size_t k = 0; k < l; ++k) {
+        const double aki = a(k, i);
+        double* row = &a(k, 0);
+        for (std::size_t j = 0; j < l; ++j) row[j] -= work[j] * aki;
       }
     }
     diag[i] = a(i, i);
