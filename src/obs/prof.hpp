@@ -43,8 +43,8 @@ namespace mhm::obs::prof {
 /// counter reads alone (the bench overhead leg toggles this); spans still
 /// record.
 
-/// Instrumented stages, in export order. Values are stable export
-/// positions: new stages append.
+/// Instrumented stages, in export order. Exports name stages; new stages
+/// append.
 enum class Stage : std::uint8_t {
   kAnalyze = 0,       ///< One Session::analyze / analyze_shard call.
   kScoreProject,      ///< PCA projection (serial matvec or batch tiles).
@@ -58,8 +58,7 @@ enum class Stage : std::uint8_t {
   kTrainEm,           ///< Full GMM EM fit.
   kPipelineCollect,   ///< pipeline::collect_normal_trace.
   kPipelineTrain,     ///< pipeline::train_pipeline.
-  kPipelineProfileTraining,
-  kPipelineProfileValidation,
+  kPipelineProfile,   ///< train_pipeline's training + validation runs.
   kPipelineFitDetector,
   kPcaFit,            ///< Eigenmemory::fit (exact eigensolve).
   kPcaFitTopk,        ///< Eigenmemory::fit_topk.
@@ -93,8 +92,7 @@ inline constexpr StageInfo kStages[] = {
     {"train.em", StageKind::kTraced},
     {"pipeline.collect_normal_trace", StageKind::kTraced},
     {"pipeline.train", StageKind::kTraced},
-    {"pipeline.train.profile_training", StageKind::kTraced},
-    {"pipeline.train.profile_validation", StageKind::kTraced},
+    {"pipeline.train.profile", StageKind::kTraced},
     {"pipeline.train.fit_detector", StageKind::kTraced},
     {"pca.fit", StageKind::kTraced},
     {"pca.fit_topk", StageKind::kTraced},

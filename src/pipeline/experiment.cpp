@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -86,40 +87,62 @@ PipelineMetrics& pipeline_metrics() {
   return m;
 }
 
-}  // namespace
-
-HeatMapTrace collect_normal_trace(const sim::SystemConfig& config,
-                                  const ProfilingPlan& plan) {
+/// One trace per plan. Each profiling run is an independent seeded system;
+/// all runs of all plans are simulated concurrently in one fan-out (grain
+/// 1 = one run per chunk) and concatenated per plan in seed order, which
+/// reproduces the serial traces exactly.
+std::vector<HeatMapTrace> collect_normal_traces(
+    const sim::SystemConfig& config, std::span<const ProfilingPlan> plans) {
   OBS_SCOPE(kPipelineCollect);
-  // Each profiling run is an independent seeded system; simulate them
-  // concurrently (grain 1 = one run per chunk) and concatenate in seed
-  // order, which reproduces the serial trace exactly.
-  std::vector<HeatMapTrace> per_run(plan.runs);
-  parallel_for(plan.runs, 1, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t run = r0; run < r1; ++run) {
+  struct Run {
+    const ProfilingPlan* plan;
+    std::uint64_t seed;
+  };
+  std::vector<Run> runs;
+  for (const ProfilingPlan& plan : plans) {
+    for (std::size_t r = 0; r < plan.runs; ++r) {
+      runs.push_back({&plan, plan.seed_base + r});
+    }
+  }
+  std::vector<HeatMapTrace> per_run(runs.size());
+  parallel_for(runs.size(), 1, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
       sim::SystemConfig cfg = config;
-      cfg.seed = plan.seed_base + run;
+      cfg.seed = runs[r].seed;
       sim::System system(cfg);
       // Pull the run's maps through the engine-layer source (chunked
       // stepping is bit-identical to one long run_for) and drop the
       // cold-start transient as each map arrives.
-      engine::SimIntervalSource source(system, plan.run_duration);
+      engine::SimIntervalSource source(system, runs[r].plan->run_duration);
       std::size_t seen = 0;
       while (auto item = source.next()) {
-        if (seen++ < plan.warmup_intervals) continue;
-        per_run[run].push_back(std::move(item->map));
+        if (seen++ < runs[r].plan->warmup_intervals) continue;
+        per_run[r].push_back(std::move(item->map));
       }
     }
   });
-  std::size_t total = 0;
-  for (const auto& t : per_run) total += t.size();
-  HeatMapTrace all;
-  all.reserve(total);
-  for (auto& t : per_run) {
-    all.insert(all.end(), std::make_move_iterator(t.begin()),
-               std::make_move_iterator(t.end()));
+  std::vector<HeatMapTrace> out(plans.size());
+  std::size_t next = 0;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    std::size_t total = 0;
+    for (std::size_t r = next; r < next + plans[p].runs; ++r) {
+      total += per_run[r].size();
+    }
+    out[p].reserve(total);
+    for (std::size_t r = next; r < next + plans[p].runs; ++r) {
+      out[p].insert(out[p].end(), std::make_move_iterator(per_run[r].begin()),
+                    std::make_move_iterator(per_run[r].end()));
+    }
+    next += plans[p].runs;
   }
-  return all;
+  return out;
+}
+
+}  // namespace
+
+HeatMapTrace collect_normal_trace(const sim::SystemConfig& config,
+                                  const ProfilingPlan& plan) {
+  return std::move(collect_normal_traces(config, {&plan, 1}).front());
 }
 
 std::size_t ScenarioRun::intervals_before_trigger() const {
@@ -258,17 +281,16 @@ TrainedPipeline train_pipeline(const sim::SystemConfig& config,
   obs::MonitorServer::ensure_env_server();
   TrainedPipeline out;
   {
-    OBS_SCOPE(kPipelineProfileTraining);
-    out.training = collect_normal_trace(config, plan);
-  }
-
-  // Separate normal runs (disjoint seeds) for threshold calibration.
-  ProfilingPlan validation_plan = plan;
-  validation_plan.runs = std::max<std::size_t>(1, plan.runs / 5);
-  validation_plan.seed_base = plan.seed_base + plan.runs + 1000;
-  {
-    OBS_SCOPE(kPipelineProfileValidation);
-    out.validation = collect_normal_trace(config, validation_plan);
+    // The training runs and separate normal runs (disjoint seeds) for
+    // threshold calibration, simulated in one fan-out.
+    OBS_SCOPE(kPipelineProfile);
+    ProfilingPlan validation_plan = plan;
+    validation_plan.runs = std::max<std::size_t>(1, plan.runs / 5);
+    validation_plan.seed_base = plan.seed_base + plan.runs + 1000;
+    const ProfilingPlan plans[] = {plan, validation_plan};
+    auto traces = collect_normal_traces(config, plans);
+    out.training = std::move(traces[0]);
+    out.validation = std::move(traces[1]);
   }
 
   OBS_SCOPE(kPipelineFitDetector);

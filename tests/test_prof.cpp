@@ -75,10 +75,8 @@ TEST(ProfStages, NamesAreStableExportIdentifiers) {
   EXPECT_STREQ(stage_info(Stage::kPipelineCollect).name,
                "pipeline.collect_normal_trace");
   EXPECT_STREQ(stage_info(Stage::kPipelineTrain).name, "pipeline.train");
-  EXPECT_STREQ(stage_info(Stage::kPipelineProfileTraining).name,
-               "pipeline.train.profile_training");
-  EXPECT_STREQ(stage_info(Stage::kPipelineProfileValidation).name,
-               "pipeline.train.profile_validation");
+  EXPECT_STREQ(stage_info(Stage::kPipelineProfile).name,
+               "pipeline.train.profile");
   EXPECT_STREQ(stage_info(Stage::kPipelineFitDetector).name,
                "pipeline.train.fit_detector");
   EXPECT_STREQ(stage_info(Stage::kPcaFit).name, "pca.fit");

@@ -1403,7 +1403,7 @@ int cmd_prof(const Args& args) {
               num_field(body, "samples"), analyze_wall * 1e-9,
               attributed * 100.0,
               str_field(body, "top_scoring_stage").c_str());
-  // Wide enough for the longest stage name, pipeline.train.profile_validation.
+  // Wide enough for every stage name.
   std::printf("  %-33s %10s %12s %14s %7s %6s %12s\n", "stage", "entries",
               "wall(ms)", "per-entry(us)", "share", "ipc", "cache-miss");
   for (const ProfRow& r : rows) {
