@@ -23,7 +23,7 @@ std::atomic<bool>& enabled_flag() {
 namespace {
 
 /// 0 = no analysis yet.
-std::atomic<std::uint64_t>& last_analysis_ns() {
+std::atomic<std::uint64_t>& analysis_stamp() {
   static std::atomic<std::uint64_t> ns{0};
   return ns;
 }
@@ -32,11 +32,15 @@ std::atomic<std::uint64_t>& last_analysis_ns() {
 
 void mark_analysis() {
   if (!enabled()) return;
-  last_analysis_ns().store(steady_ns(), std::memory_order_relaxed);
+  analysis_stamp().store(steady_ns(), std::memory_order_relaxed);
+}
+
+std::uint64_t last_analysis_ns() {
+  return analysis_stamp().load(std::memory_order_relaxed);
 }
 
 double last_analysis_age_seconds() {
-  const std::uint64_t last = last_analysis_ns().load(std::memory_order_relaxed);
+  const std::uint64_t last = last_analysis_ns();
   if (last == 0) return -1.0;
   return static_cast<double>(steady_ns() - last) * 1e-9;
 }

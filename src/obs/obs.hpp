@@ -32,6 +32,7 @@ constexpr bool enabled() { return false; }
 inline void set_enabled(bool) {}
 inline void mark_analysis() {}
 inline double last_analysis_age_seconds() { return -1.0; }
+inline std::uint64_t last_analysis_ns() { return 0; }
 
 #else
 
@@ -55,6 +56,8 @@ inline void set_enabled(bool on) {
 void mark_analysis();
 /// Seconds since the last mark_analysis() (-1 before the first one).
 double last_analysis_age_seconds();
+/// The newest stamp itself, on the steady_ns() clock (0 before the first).
+std::uint64_t last_analysis_ns();
 
 #endif
 
