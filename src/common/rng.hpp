@@ -29,7 +29,9 @@ class Rng {
 
   /// Derive an independent child stream (for per-task / per-restart RNGs).
   /// Children with different `stream_id` are decorrelated from the parent
-  /// and from each other.
+  /// and from each other. Forking draws one value from this stream, so it
+  /// advances the parent: fork children in a fixed order (serially, before
+  /// any concurrent use) to keep every child's stream reproducible.
   Rng fork(std::uint64_t stream_id);
 
   /// Uniform double in [0, 1).

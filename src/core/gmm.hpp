@@ -49,7 +49,8 @@ class Gmm {
     std::uint64_t seed = 12345;
   };
 
-  /// Fit on reduced training vectors (all the same dimension).
+  /// Fit on reduced training vectors (all the same dimension). Restarts run
+  /// side by side on the global pool; the model is the same at every width.
   /// Throws ConfigError on degenerate input (fewer samples than components).
   static Gmm fit(const std::vector<std::vector<double>>& data,
                  const Options& options);
