@@ -106,6 +106,23 @@ std::string file_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// FNV-1a, 64-bit, over raw bytes.
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over the IEEE-754 bits of a per-cell baseline (mean, then stddev).
+std::uint64_t baseline_digest(const CellBaseline& b) {
+  std::uint64_t h = fnv1a(b.mean.data(), b.mean.size() * sizeof(double));
+  return fnv1a(b.stddev.data(), b.stddev.size() * sizeof(double), h);
+}
+
 // --- NormalWindow ---
 
 // Satellite regression: alarmed or non-OK intervals must never enter the
@@ -359,6 +376,19 @@ TEST(RetrainManagerTest, PublishedArtifactIsBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(report.accepted) << report_str(report);
     bytes[t] = file_bytes(registry->path_for(report.version));
     std::filesystem::remove_all(dir);
+
+    // Pinned bit for bit: the published artifact, the gates' figures and
+    // the per-cell baseline the journal ranks top cells against (held in
+    // memory only, never serialized).
+    EXPECT_EQ(fnv1a(bytes[t].data(), bytes[t].size()), 0xae2390e42bf6d7d2ULL)
+        << "threads " << threads[t];
+    EXPECT_EQ(report.holdout_alarm_rate, 0x0p+0);
+    EXPECT_EQ(report.quantile_shift, 0x1.30bf35ac40f8p-3);
+    EXPECT_EQ(report.wilson_low, 0x1p-56);
+    EXPECT_EQ(report.wilson_high, 0x1.c18f9c18f9c18p-3);
+    const auto published = engine.current_model();
+    ASSERT_NE(published->baseline, nullptr);
+    EXPECT_EQ(baseline_digest(*published->baseline), 0xbd86dcdb90355ca6ULL);
   }
   set_global_threads(0);  // Back to the environment default.
   ASSERT_FALSE(bytes[0].empty());
