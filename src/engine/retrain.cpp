@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "core/detector.hpp"
 #include "obs/metrics.hpp"
 
 namespace mhm::engine {
@@ -238,18 +239,16 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
       rows.begin() + static_cast<std::ptrdiff_t>(train_n + calib_n),
       rows.end());
 
-  // --- TRAINING: fast top-k PCA + GMM EM ---
-  Eigenmemory pca;
-  Gmm gmm;
+  // --- TRAINING: the offline trainer on the oldest slice, θ_p on the
+  // middle one ---
+  std::shared_ptr<const ModelSnapshot> candidate;
   try {
-    Eigenmemory::TopkOptions topk = options_.topk;
-    topk.components = std::min(k, std::min(train_n, train.front().size()));
-    pca = Eigenmemory::fit_topk(train, topk);
-    const auto reduced = pca.project_all(train);
-    Gmm::Options go;
-    go.components = std::min(j, std::max<std::size_t>(1, train_n / 4));
-    go.restarts = options_.gmm_restarts;
-    gmm = Gmm::fit(reduced, go);
+    AnomalyDetector::Options opts;
+    opts.pca.components = std::min(k, std::min(train_n, train.front().size()));
+    opts.gmm.components = std::min(j, std::max<std::size_t>(1, train_n / 4));
+    opts.gmm.restarts = options_.gmm_restarts;
+    opts.primary_p = p;
+    candidate = AnomalyDetector::train(train, calib, opts).snapshot();
   } catch (const Error&) {
     return reject("train_failed");
   }
@@ -259,27 +258,15 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
     set_state(RetrainState::kValidating);
   }
 
-  // --- VALIDATING ---
-  // θ_p from the calibration slice (the offline pipeline's validation-set
-  // role), then score the held-out slice as a stream.
-  const auto reduced_calib = pca.project_all(calib);
-  std::vector<double> ln_calib;
-  gmm.total_log_likelihood(reduced_calib, &ln_calib);
-  std::vector<double> calib_scores(ln_calib.size());
-  for (std::size_t i = 0; i < ln_calib.size(); ++i) {
-    calib_scores[i] = ln_calib[i] / kLn10;
-  }
-  ThresholdCalibrator calibrator(calib_scores);
-  const Threshold theta = calibrator.at(p);
-
-  const auto reduced_hold = pca.project_all(holdout);
+  // --- VALIDATING: score the held-out slice as a stream ---
+  const auto reduced_hold = candidate->pca.project_all(holdout);
   std::vector<double> ln_hold;
-  gmm.total_log_likelihood(reduced_hold, &ln_hold);
+  candidate->gmm.total_log_likelihood(reduced_hold, &ln_hold);
   std::vector<double> hold_scores(ln_hold.size());
   std::uint64_t hold_alarms = 0;
   for (std::size_t i = 0; i < ln_hold.size(); ++i) {
     hold_scores[i] = ln_hold[i] / kLn10;
-    if (hold_scores[i] < theta.log10_value) ++hold_alarms;
+    if (hold_scores[i] < candidate->primary.log10_value) ++hold_alarms;
   }
   report.holdout_alarm_rate =
       static_cast<double>(hold_alarms) / static_cast<double>(holdout_n);
@@ -305,7 +292,8 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
   // Gate 2: score-scale sanity — the held-out median must sit near the
   // calibration median; a large shift means the window straddles a
   // behaviour change and the candidate is already stale.
-  const double q50_calib = quantile(calib_scores, 0.5);
+  const double q50_calib =
+      quantile(candidate->calibrator.validation_scores(), 0.5);
   const double q50_hold = quantile(hold_scores, 0.5);
   report.quantile_shift = std::abs(q50_hold - q50_calib);
   if (!std::isfinite(report.quantile_shift) ||
@@ -314,41 +302,12 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
   }
 
   // --- PUBLISH ---
-  // Per-cell baseline of the candidate's training rows (journal
-  // explanations keep working across the swap).
-  const std::size_t l = train.front().size();
-  auto baseline = std::make_shared<CellBaseline>();
-  baseline->mean.assign(l, 0.0);
-  baseline->stddev.assign(l, 0.0);
-  for (const auto& x : train) {
-    for (std::size_t i = 0; i < l; ++i) baseline->mean[i] += x[i];
-  }
-  const double inv_n = 1.0 / static_cast<double>(train_n);
-  for (double& m : baseline->mean) m *= inv_n;
-  for (const auto& x : train) {
-    for (std::size_t i = 0; i < l; ++i) {
-      const double d = x[i] - baseline->mean[i];
-      baseline->stddev[i] += d * d;
-    }
-  }
-  for (double& s : baseline->stddev) s = std::sqrt(s * inv_n);
-
-  std::uint64_t version = 0;
+  std::uint64_t version = current->version + 1;
   if (registry_ != nullptr) {
-    DetectorModel artifact;
-    artifact.eigenmemory = pca;
-    artifact.gmm = gmm;
-    artifact.validation_scores = calib_scores;
-    artifact.primary_p = p;
-    version = registry_->save(artifact);
-  } else {
-    version = current->version + 1;
+    version = registry_->save(DetectorModel::from_snapshot(*candidate));
   }
-
-  auto snapshot =
-      ModelSnapshot::assemble(std::move(pca), std::move(gmm),
-                              std::move(calibrator), p, std::move(baseline),
-                              version);
+  auto snapshot = std::make_shared<ModelSnapshot>(*candidate);
+  snapshot->version = version;
   try {
     engine_.swap_model(std::move(snapshot));
   } catch (const Error&) {

@@ -8,9 +8,7 @@
 #include <string>
 #include <thread>
 
-#include "core/gmm.hpp"
 #include "core/model_io.hpp"
-#include "core/pca.hpp"
 #include "engine/engine.hpp"
 #include "engine/normal_window.hpp"
 
@@ -21,7 +19,7 @@ namespace mhm::engine {
 enum class RetrainState {
   kOk = 0,          ///< Healthy; watching for sustained drift.
   kDrifting = 1,    ///< Drift seen, sustain counter accumulating.
-  kTraining = 2,    ///< Candidate fit (top-k PCA + GMM EM) in progress.
+  kTraining = 2,    ///< Candidate fit and θ_p calibration in progress.
   kValidating = 3,  ///< Candidate built; validation gates running.
   kCooldown = 4,    ///< Post-publish refractory window.
 };
@@ -59,11 +57,11 @@ struct RetrainReport {
 /// ModelRegistry and publishes it with swap_model — sessions pick the new
 /// version up at their next interval boundary, so no map is ever dropped.
 ///
-/// Candidate training uses the fast top-k PCA path (Eigenmemory::fit_topk)
-/// — the whole point of making retraining continuous is that it no longer
-/// costs a 20 s eigensolve. The window snapshot is split chronologically:
-/// the oldest rows train, the middle calibrates θ_p, and the newest slice
-/// is scored as a held-out stream. Two gates must pass before publish:
+/// A candidate is trained by AnomalyDetector::train, the offline trainer,
+/// with a fixed L′ (so through Eigenmemory::fit_topk) and fewer EM
+/// restarts. The window snapshot is split chronologically: the oldest rows
+/// train, the middle calibrates θ_p, and the newest slice is scored as a
+/// held-out stream. Two gates must pass before publish:
 ///  * the held-out alarm rate must sit inside the Wilson interval of the
 ///    configured quantile p at `options.wilson_z` — a candidate that
 ///    alarms wildly (or never) on clean traffic is rejected;
@@ -103,8 +101,6 @@ class RetrainManager {
     double wilson_z = 3.0;
     /// Allowed |median(holdout) − median(calibration)| in log10 units.
     double quantile_margin = 2.0;
-    /// Fast top-k PCA knobs (components is overridden per run).
-    Eigenmemory::TopkOptions topk;
     /// Run the pipeline on a background worker thread. False = note()
     /// runs it inline when the sustain threshold trips (deterministic
     /// single-thread tests; the manual tool path).
