@@ -31,9 +31,8 @@ int main() {
   PhaseAwareDetector::Options phase_opts;
   phase_opts.phases = static_cast<std::size_t>(
       sim::hyperperiod(cfg.tasks) / cfg.monitor.interval);
-  phase_opts.pca.components = 9;
-  const PhaseAwareDetector phase_det =
-      PhaseAwareDetector::train(pipe.training, pipe.validation, phase_opts);
+  const PhaseAwareDetector phase_det = PhaseAwareDetector::train(
+      pipe.training, pipe.validation, pipe.det().eigenmemory(), phase_opts);
 
   const SimTime interval = cfg.monitor.interval;
   const SimTime duration = 400 * interval;

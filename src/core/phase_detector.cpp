@@ -15,6 +15,7 @@ constexpr double kLog2Pi = 1.8378770664093453;
 
 PhaseAwareDetector PhaseAwareDetector::train(const HeatMapTrace& training,
                                              const HeatMapTrace& validation,
+                                             const Eigenmemory& reduction,
                                              const Options& options) {
   if (options.phases == 0) {
     throw ConfigError("PhaseAwareDetector: phases must be positive");
@@ -23,12 +24,18 @@ PhaseAwareDetector PhaseAwareDetector::train(const HeatMapTrace& training,
     throw ConfigError("PhaseAwareDetector: empty training/validation set");
   }
 
+  for (const HeatMapTrace* trace : {&training, &validation}) {
+    for (const auto& map : *trace) {
+      if (map.cell_count() != reduction.input_dim()) {
+        throw ConfigError(
+            "PhaseAwareDetector: map cell count does not match the "
+            "reduction's input dimension");
+      }
+    }
+  }
+
   PhaseAwareDetector det;
-  // Same PCA routine as AnomalyDetector::train.
-  det.pca_ = options.pca.components > 0
-                 ? Eigenmemory::fit_topk(
-                       training, {.components = options.pca.components})
-                 : Eigenmemory::fit(training, options.pca);
+  det.pca_ = reduction;
   const std::size_t dim = det.pca_.components();
 
   // Partition reduced training maps by hyperperiod phase.

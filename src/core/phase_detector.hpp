@@ -4,7 +4,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/detector.hpp"
 #include "core/heatmap.hpp"
 #include "core/pca.hpp"
 #include "linalg/cholesky.hpp"
@@ -30,17 +29,19 @@ class PhaseAwareDetector {
  public:
   struct Options {
     std::size_t phases = 10;        ///< Hyperperiod / monitoring interval.
-    /// Shared reduction stage, trained as AnomalyDetector::Options::pca.
-    Eigenmemory::Options pca;
     double covariance_floor = 1e-9; ///< Diagonal regularization.
     double primary_p = 0.01;        ///< Threshold quantile (θ_1).
   };
 
-  /// Train from normal maps (interval_index must be meaningful) and
-  /// calibrate the per-detector threshold on `validation`.
-  /// Throws ConfigError if any phase has fewer than 3 training maps.
+  /// Fit the per-phase Gaussians on normal maps (interval_index must be
+  /// meaningful) reduced by `reduction` — the eigenmemory of a trained
+  /// AnomalyDetector, shared rather than refitted — and calibrate the
+  /// threshold on `validation`. Throws ConfigError if a map's cell count
+  /// differs from the reduction's input dimension or any phase has fewer
+  /// than 3 training maps.
   static PhaseAwareDetector train(const HeatMapTrace& training,
                                   const HeatMapTrace& validation,
+                                  const Eigenmemory& reduction,
                                   const Options& options);
 
   /// log10 density of `map` under its phase's Gaussian.
