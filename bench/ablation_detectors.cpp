@@ -11,7 +11,6 @@
 #include "bench_support.hpp"
 #include "common/stats.hpp"
 #include "core/detector.hpp"
-#include "core/explainer.hpp"
 
 int main() {
   using namespace mhm;
@@ -118,9 +117,11 @@ int main() {
     r.storage = 2 * sizeof(double);
     rows.push_back(r);
   }
-  const SpeDetector spe(pipe.det().eigenmemory(), valid_raw, 0.01);
+  const double spe_theta = spe_threshold(pipe, 0.01);
   {
-    Row r = eval([&](const HeatMap& m) { return spe.anomalous(m); });
+    Row r = eval([&](const HeatMap& m) {
+      return session.analyze(m).spe > spe_theta;
+    });
     r.detector = "SPE residual (extension)";
     const Eigenmemory& em = pipe.det().eigenmemory();
     r.storage =
@@ -131,7 +132,8 @@ int main() {
     // GMM density OR SPE: the combined detector covers both the in-subspace
     // and the orthogonal failure modes.
     Row r = eval([&](const HeatMap& m) {
-      return session.analyze(m).log10_density < theta || spe.anomalous(m);
+      const Verdict v = session.analyze(m);
+      return v.log10_density < theta || v.spe > spe_theta;
     });
     r.detector = "GMM + SPE combined (extension)";
     const Eigenmemory& em = pipe.det().eigenmemory();

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 
 namespace mhm::bench {
@@ -79,6 +80,14 @@ pipeline::ScenarioRun scored_scenario(const sim::SystemConfig& config,
   engine::Session session = pipe.make_engine().new_session();
   return pipeline::run_scenario(config, attack, trigger_time, duration,
                                 &session, seed);
+}
+
+double spe_threshold(const pipeline::TrainedPipeline& pipe, double p) {
+  engine::Session session = pipe.make_engine().new_session();
+  std::vector<double> spe;
+  spe.reserve(pipe.validation.size());
+  for (const auto& m : pipe.validation) spe.push_back(session.analyze(m).spe);
+  return quantile(spe, 1.0 - p);
 }
 
 void print_header(const std::string& title) {

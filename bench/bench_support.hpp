@@ -47,6 +47,10 @@ pipeline::ScenarioRun scored_scenario(const sim::SystemConfig& config,
                                       const pipeline::TrainedPipeline& pipe,
                                       std::uint64_t seed);
 
+/// SPE threshold calibrated as θ_p is: the (1 − p) quantile of the
+/// Verdict::spe that `pipe`'s model gives its validation maps.
+double spe_threshold(const pipeline::TrainedPipeline& pipe, double p);
+
 /// Print a section header.
 void print_header(const std::string& title);
 

@@ -9,7 +9,6 @@
 
 #include "bench_support.hpp"
 #include "common/stats.hpp"
-#include "core/explainer.hpp"
 
 int main() {
   using namespace mhm;
@@ -101,16 +100,14 @@ int main() {
   // classic PCA-monitoring remedy is to also watch the reconstruction
   // residual.
   print_header("Extension — SPE residual detector on the same run");
-  std::vector<std::vector<double>> validation_raw;
-  for (const auto& m : pipe.validation) validation_raw.push_back(m.as_vector());
-  const SpeDetector spe(pipe.det().eigenmemory(), validation_raw, 0.01);
+  const double spe_theta = spe_threshold(pipe, 0.01);
 
   std::optional<std::uint64_t> spe_latency;
   std::size_t spe_stealth_flags = 0;
   for (std::size_t i = 0; i < run.maps.size(); ++i) {
     const auto idx = run.maps[i].interval_index;
     if (idx < run.trigger_interval) continue;
-    const bool alarm = spe.anomalous(run.maps[i]);
+    const bool alarm = run.verdicts[i].spe > spe_theta;
     if (alarm && !spe_latency) spe_latency = idx - run.trigger_interval;
     if (alarm && idx > run.trigger_interval + 1) ++spe_stealth_flags;
   }

@@ -8,18 +8,21 @@
 //   3. SHIP    the winning model to the "secure core" (core/model_io —
 //              here: a file round-trip standing in for flashing it).
 //   4. DEPLOY  monitor a live (attacked) system with the loaded model, a
-//              2-of-3 temporal AlarmFilter, the SPE residual companion
-//              detector, and post-alarm forensics via AnomalyExplainer.
+//              2-of-3 temporal AlarmFilter, the verdicts' SPE residual as a
+//              companion statistic, and post-alarm forensics that rank
+//              cells against the training baseline (obs::rank_cells_by_z,
+//              the decision journal's ranking).
 
 #include <cstdio>
 #include <filesystem>
 
 #include "attacks/attacks.hpp"
 #include "common/ascii_plot.hpp"
+#include "common/stats.hpp"
 #include "core/alarm_filter.hpp"
-#include "core/explainer.hpp"
 #include "core/model_io.hpp"
 #include "core/trace_io.hpp"
+#include "obs/journal.hpp"
 #include "pipeline/experiment.hpp"
 
 int main() {
@@ -80,17 +83,25 @@ int main() {
 
   // ---- 3. ship ----------------------------------------------------------
   std::printf("[3/4] shipping model to the secure core...\n");
-  save_model_file(DetectorModel::from_detector(winner), model_path);
+  save_model_file(DetectorModel::from_snapshot(*winner.snapshot()),
+                  model_path);
   const auto deployed = load_model_file(model_path).to_snapshot();
   engine::Session session = engine::DetectionEngine(deployed).new_session();
 
   // ---- 4. deploy with filter + SPE + forensics --------------------------
   std::printf("[4/4] monitoring a live system (shellcode at t = 2 s)...\n\n");
-  std::vector<std::vector<double>> validation_raw;
-  for (const auto& m : validation) validation_raw.push_back(m.as_vector());
-  const SpeDetector spe(deployed->pca, validation_raw, 0.01);
-  const AnomalyExplainer explainer =
-      AnomalyExplainer::from_trace(training);
+  // SPE threshold: the 0.99 quantile of the validation maps' SPE.
+  engine::Session validation_session =
+      engine::DetectionEngine(deployed).new_session();
+  std::vector<double> validation_spe;
+  for (const auto& m : validation) {
+    validation_spe.push_back(validation_session.analyze(m).spe);
+  }
+  const double spe_theta = quantile(validation_spe, 1.0 - 0.01);
+  // The shipped model carries no per-cell baseline (it is not serialized);
+  // forensics rank cells against the trained winner's.
+  const CellBaseline& baseline = *winner.snapshot()->baseline;
+  std::vector<obs::CellContribution> top_cells;
 
   sim::SystemConfig live = config;
   live.seed = 2026;
@@ -103,7 +114,8 @@ int main() {
   bool forensics_printed = false;
   system.set_interval_observer([&](const HeatMap& map) {
     const Verdict v = session.analyze(map);
-    const bool raw_alarm = v.anomalous || spe.anomalous(map);
+    const bool spe_alarm = v.spe > spe_theta;
+    const bool raw_alarm = v.anomalous || spe_alarm;
     if (filter.feed(raw_alarm)) {
       ++confirmed_alarms;
       if (!forensics_printed) {
@@ -112,9 +124,11 @@ int main() {
                     "(log10 Pr = %.1f, SPE %s threshold)\n",
                     static_cast<unsigned long long>(map.interval_index),
                     v.log10_density,
-                    spe.anomalous(map) ? "above" : "below");
+                    spe_alarm ? "above" : "below");
         std::printf("top deviant cells:\n");
-        for (const auto& dev : explainer.explain(map, 5)) {
+        obs::rank_cells_by_z(map.as_vector(), baseline.mean, baseline.stddev,
+                             5, top_cells);
+        for (const auto& dev : top_cells) {
           std::printf("  cell %4zu: observed %7.0f, expected %7.0f "
                       "(z = %+.1f)\n",
                       dev.cell, dev.observed, dev.expected, dev.z_score);

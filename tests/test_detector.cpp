@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "engine/engine.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
@@ -309,6 +313,198 @@ TEST(NearestNeighborDetector, RejectsEmptySets) {
   const std::vector<std::vector<double>> some = {{1.0}};
   EXPECT_THROW(NearestNeighborDetector({}, some, 0.1), ConfigError);
   EXPECT_THROW(NearestNeighborDetector(some, {}, 0.1), ConfigError);
+}
+
+// --- SPE detection: every Verdict carries the PCA residual, and its
+// threshold is the (1 − p) quantile of the validation maps' SPE. The suite
+// keeps the name of the standalone SPE scorer these cases first tested. ---
+
+/// Cells 0..7 active around distinct means, cells 8..19 identically cold
+/// (zero variance) — the MHM covariance shape.
+std::vector<std::vector<double>> structured_maps(std::size_t n,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(20, 0.0);
+    const double activity = rng.uniform(0.5, 1.5);
+    for (std::size_t c = 0; c < 8; ++c) {
+      x[c] = activity * 100.0 * static_cast<double>(c + 1) +
+             rng.normal(0.0, 5.0);
+    }
+    out.push_back(std::move(x));
+  }
+  return out;
+}
+
+/// A detector with `components` eigenmemories (and one Gaussian) trained on
+/// 300 structured maps and calibrated on `validation`.
+std::shared_ptr<const ModelSnapshot> structured_model(
+    std::size_t components,
+    const std::vector<std::vector<double>>& validation) {
+  AnomalyDetector::Options opts;
+  opts.pca.components = components;
+  opts.gmm.components = 1;
+  opts.gmm.restarts = 1;
+  return AnomalyDetector::train(structured_maps(300, 1), validation, opts)
+      .snapshot();
+}
+
+double spe_of(const ModelSnapshot& model, const std::vector<double>& map) {
+  ScoreScratch scratch;
+  return score_snapshot(model, map, 0, scratch).spe;
+}
+
+class SpeDetectorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    validation_ = structured_maps(150, 2);
+    model_ = structured_model(2, validation_);
+    std::vector<double> spes;
+    for (const auto& x : validation_) spes.push_back(spe_of(*model_, x));
+    threshold_ = quantile(spes, 1.0 - 0.01);
+  }
+  std::vector<std::vector<double>> validation_;
+  std::shared_ptr<const ModelSnapshot> model_;
+  double threshold_ = 0.0;
+};
+
+TEST_F(SpeDetectorTest, VerdictSpeMatchesReconstructionResidual) {
+  // The verdict takes the ‖Φ‖² − ‖w‖² shortcut; the definition is the
+  // energy of map − reconstruct(project(map)).
+  auto maps = structured_maps(50, 19);
+  maps.push_back(maps.front());
+  for (std::size_t c = 8; c <= 12; ++c) maps.back()[c] += 500.0;
+  for (const auto& map : maps) {
+    const auto approx = model_->pca.reconstruct(model_->pca.project(map));
+    double residual = 0.0;
+    for (std::size_t i = 0; i < map.size(); ++i) {
+      residual += (map[i] - approx[i]) * (map[i] - approx[i]);
+    }
+    ASSERT_GT(residual, 0.0);
+    EXPECT_LE(std::abs(spe_of(*model_, map) - residual), 1e-9 * residual);
+  }
+}
+
+TEST_F(SpeDetectorTest, NormalMapsHaveSmallSpe) {
+  std::size_t alarms = 0;
+  const auto fresh = structured_maps(400, 3);
+  for (const auto& x : fresh) alarms += spe_of(*model_, x) > threshold_;
+  // Calibrated for ~1 % FP; allow slack for distribution shift.
+  EXPECT_LT(static_cast<double>(alarms) / 400.0, 0.06);
+}
+
+TEST_F(SpeDetectorTest, CatchesOrthogonalDeviation) {
+  // A burst into cold cells (8..12) lies orthogonal to the retained basis:
+  // the projected weights barely move, but the residual explodes. This is
+  // the blind spot SPE exists to close (EXPERIMENTS.md E7 note).
+  std::vector<double> map = structured_maps(1, 4)[0];
+  for (std::size_t c = 8; c <= 12; ++c) map[c] += 500.0;
+  EXPECT_GT(spe_of(*model_, map), 10.0 * threshold_);
+}
+
+TEST_F(SpeDetectorTest, ProjectedWeightsBarelySeeOrthogonalDeviation) {
+  // Companion assertion: the reduced representation itself changes little,
+  // demonstrating why the GMM path alone misses this class of anomaly.
+  std::vector<double> normal_map = structured_maps(1, 5)[0];
+  std::vector<double> attacked = normal_map;
+  for (std::size_t c = 8; c <= 12; ++c) attacked[c] += 500.0;
+  const auto w_normal = model_->pca.project(normal_map);
+  const auto w_attacked = model_->pca.project(attacked);
+  double weight_shift = 0.0;
+  for (std::size_t k = 0; k < w_normal.size(); ++k) {
+    weight_shift += std::abs(w_attacked[k] - w_normal[k]);
+  }
+  const double spe_shift =
+      spe_of(*model_, attacked) - spe_of(*model_, normal_map);
+  // The residual grows by ~5*500^2 = 1.25e6; the weights move by O(100).
+  EXPECT_GT(spe_shift, 1e5);
+  EXPECT_LT(weight_shift, 1e3);
+  EXPECT_GT(spe_of(*model_, attacked), threshold_);
+}
+
+TEST_F(SpeDetectorTest, SpeIsZeroInFullRankBasis) {
+  // Eight eigenmemories span every direction the training maps vary in,
+  // so training-like maps reconstruct exactly up to round-off.
+  const auto full = structured_model(8, validation_);
+  const auto& map = validation_[0];
+  double energy = 0.0;
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    const double d = map[i] - full->pca.mean()[i];
+    energy += d * d;
+  }
+  EXPECT_LE(spe_of(*full, map), 1e-9 * energy);
+  EXPECT_GT(spe_of(*model_, map), 1.0);
+  const auto one = structured_model(1, validation_);
+  EXPECT_GT(spe_of(*one, map), spe_of(*model_, map));
+}
+
+// --- Post-alarm forensics: obs::rank_cells_by_z against a trained
+// detector's CellBaseline, the ranking the decision journal stamps on its
+// alarms. The suite keeps the name of the class these cases first tested.
+
+CellBaseline structured_baseline(std::size_t n, std::uint64_t seed) {
+  AnomalyDetector::Options opts;
+  opts.pca.components = 2;
+  opts.gmm.components = 1;
+  opts.gmm.restarts = 1;
+  const auto model = AnomalyDetector::train(structured_maps(n, seed),
+                                            structured_maps(50, seed + 100),
+                                            opts)
+                         .snapshot();
+  return *model->baseline;
+}
+
+std::vector<obs::CellContribution> explain(const CellBaseline& baseline,
+                                           const std::vector<double>& map,
+                                           std::size_t k) {
+  std::vector<obs::CellContribution> out;
+  obs::rank_cells_by_z(map, baseline.mean, baseline.stddev, k, out);
+  return out;
+}
+
+TEST(AnomalyExplainer, LearnsPerCellStatistics) {
+  const CellBaseline baseline = structured_baseline(500, 6);
+  ASSERT_EQ(baseline.mean.size(), 20u);
+  ASSERT_EQ(baseline.stddev.size(), 20u);
+  // Active cell 3 has mean ~ activity-mean * 400.
+  EXPECT_NEAR(baseline.mean[3], 400.0, 30.0);
+  EXPECT_GT(baseline.stddev[3], 10.0);
+  // Cold cells have zero mean and zero std.
+  EXPECT_DOUBLE_EQ(baseline.mean[15], 0.0);
+  EXPECT_DOUBLE_EQ(baseline.stddev[15], 0.0);
+}
+
+TEST(AnomalyExplainer, RanksInjectedDeviationFirst) {
+  const CellBaseline baseline = structured_baseline(300, 7);
+  std::vector<double> map = structured_maps(1, 8)[0];
+  map[14] += 5000.0;  // cold cell suddenly hot
+  const auto top = explain(baseline, map, 5);
+  ASSERT_EQ(top.size(), 5u);
+  EXPECT_EQ(top[0].cell, 14u);
+  EXPECT_GT(top[0].z_score, 10.0);
+  EXPECT_DOUBLE_EQ(top[0].expected, 0.0);
+  EXPECT_NEAR(top[0].observed, 5000.0, 1.0);
+}
+
+TEST(AnomalyExplainer, ZScoresAreSigned) {
+  const CellBaseline baseline = structured_baseline(300, 9);
+  std::vector<double> map = structured_maps(1, 10)[0];
+  map[7] = 0.0;  // activity that *disappeared* (e.g. killed task)
+  const auto top = explain(baseline, map, 3);
+  bool found_negative = false;
+  for (const auto& d : top) {
+    if (d.cell == 7) {
+      EXPECT_LT(d.z_score, -3.0);
+      found_negative = true;
+    }
+  }
+  EXPECT_TRUE(found_negative);
+}
+
+TEST(AnomalyExplainer, KLargerThanCellsClamps) {
+  const CellBaseline baseline = structured_baseline(50, 11);
+  EXPECT_EQ(explain(baseline, structured_maps(1, 12)[0], 100).size(), 20u);
 }
 
 }  // namespace

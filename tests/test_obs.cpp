@@ -207,19 +207,15 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
 // rank_cells_by_z against the reference ranking — a full-index
 // partial_sort by |z| descending, ties to the lower index — on random
 // integer maps where |z| ties are common (floored spreads give integer z,
-// and +z / −z tie too).
+// and +z / −z tie too), and on a post-alarm forensics case: a cold cell
+// that lights up must rank first, and a cell whose activity vanished keeps
+// its negative sign.
 TEST(Journal, RankCellsByZMatchesPartialSortReference) {
-  Rng rng(0x2A11);
   std::vector<obs::CellContribution> got;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t l = static_cast<std::size_t>(rng.uniform_int(1, 64));
-    std::vector<double> raw(l), mean(l), stddev(l);
-    for (std::size_t i = 0; i < l; ++i) {
-      raw[i] = static_cast<double>(rng.uniform_int(0, 12));
-      mean[i] = static_cast<double>(rng.uniform_int(0, 12));
-      stddev[i] = rng.bernoulli(0.7) ? rng.uniform(0.0, 1.0)
-                                     : static_cast<double>(rng.uniform_int(1, 3));
-    }
+  const auto check = [&](const std::vector<double>& raw,
+                         const std::vector<double>& mean,
+                         const std::vector<double>& stddev, int round) {
+    const std::size_t l = raw.size();
     const auto z_of = [&](std::size_t i) {
       return (raw[i] - mean[i]) / std::max(stddev[i], 1.0);
     };
@@ -246,7 +242,38 @@ TEST(Journal, RankCellsByZMatchesPartialSortReference) {
         EXPECT_EQ(got[r].z_score, z_of(i));
       }
     }
+  };
+
+  Rng rng(0x2A11);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t l = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<double> raw(l), mean(l), stddev(l);
+    for (std::size_t i = 0; i < l; ++i) {
+      raw[i] = static_cast<double>(rng.uniform_int(0, 12));
+      mean[i] = static_cast<double>(rng.uniform_int(0, 12));
+      stddev[i] = rng.bernoulli(0.7) ? rng.uniform(0.0, 1.0)
+                                     : static_cast<double>(rng.uniform_int(1, 3));
+    }
+    check(raw, mean, stddev, round);
   }
+
+  // Forensics: eight active cells (mean 100·(c+1), spread 30·(c+1)) and
+  // twelve never-touched ones. Cold cell 14 lights up; cell 7 goes dark.
+  std::vector<double> mean(20, 0.0), stddev(20, 0.0), raw(20, 0.0);
+  for (std::size_t c = 0; c < 8; ++c) {
+    mean[c] = 100.0 * static_cast<double>(c + 1);
+    stddev[c] = 30.0 * static_cast<double>(c + 1);
+    raw[c] = mean[c] + 10.0;
+  }
+  raw[7] = 0.0;
+  raw[14] = 5000.0;
+  check(raw, mean, stddev, 200);
+  obs::rank_cells_by_z(raw, mean, stddev, 2, got);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].cell, 14u);
+  EXPECT_EQ(got[0].z_score, 5000.0);  // Spread floored at one count.
+  EXPECT_EQ(got[1].cell, 7u);
+  EXPECT_LT(got[1].z_score, -3.0);
 }
 
 // The journal's side state (coordinates, alarm top cells, notes) follows
