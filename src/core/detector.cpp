@@ -10,13 +10,6 @@
 
 namespace mhm {
 
-AnomalyDetector AnomalyDetector::assemble(Eigenmemory pca, Gmm gmm,
-                                          ThresholdCalibrator calibrator,
-                                          double primary_p) {
-  return AnomalyDetector(ModelSnapshot::assemble(
-      std::move(pca), std::move(gmm), std::move(calibrator), primary_p));
-}
-
 AnomalyDetector AnomalyDetector::train(
     const std::vector<std::vector<double>>& training,
     const std::vector<std::vector<double>>& validation,

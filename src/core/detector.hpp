@@ -48,15 +48,6 @@ class AnomalyDetector {
   /// save) takes, shared, not copied.
   std::shared_ptr<const ModelSnapshot> snapshot() const { return snap_; }
 
-  /// Reassemble from previously trained parts (deserialization): dimension
-  /// compatibility between the PCA output and the GMM is validated. The
-  /// assembled model carries no CellBaseline (the raw training set is gone
-  /// after serialization), so journal records scored with it have no
-  /// top_cells.
-  static AnomalyDetector assemble(Eigenmemory pca, Gmm gmm,
-                                  ThresholdCalibrator calibrator,
-                                  double primary_p);
-
  private:
   explicit AnomalyDetector(std::shared_ptr<const ModelSnapshot> snapshot)
       : snap_(std::move(snapshot)) {}

@@ -171,8 +171,9 @@ class RegistryTest : public ::testing::Test {
   static DetectorModel tiny_model(std::size_t pca_components = 4) {
     const HeatMapTrace train = synthetic_maps(120, 11);
     const HeatMapTrace valid = synthetic_maps(60, 12);
-    return DetectorModel::from_detector(
-        AnomalyDetector::train(train, valid, tiny_options(pca_components)));
+    return DetectorModel::from_snapshot(
+        *AnomalyDetector::train(train, valid, tiny_options(pca_components))
+             .snapshot());
   }
 
   std::string dir_;
@@ -368,7 +369,7 @@ TEST_F(EngineTest, RegistryRoundTripReassemblesBitIdenticalVerdicts) {
           .string();
   std::filesystem::remove_all(dir);
   ModelRegistry registry(dir);
-  registry.save(DetectorModel::from_detector(pipe_->det()));
+  registry.save(DetectorModel::from_snapshot(*pipe_->det().snapshot()));
 
   const auto snapshot = registry.load_latest_snapshot();
   // The serialized model carries no raw training maps, so the reassembled
@@ -602,14 +603,14 @@ class HotSwapTest : public EngineTest {
                .string();
     std::filesystem::remove_all(dir_);
     ModelRegistry registry(dir_);
-    registry.save(DetectorModel::from_detector(pipe_->det()));
+    registry.save(DetectorModel::from_snapshot(*pipe_->det().snapshot()));
     // Model B: same cell count, different mixture — trained with one fewer
     // GMM component so its densities differ from model A's.
     AnomalyDetector::Options opts = pipeline::fast_test_detector_options();
     opts.gmm.components = 4;
     const AnomalyDetector b =
         AnomalyDetector::train(pipe_->training, pipe_->validation, opts);
-    registry.save(DetectorModel::from_detector(b));
+    registry.save(DetectorModel::from_snapshot(*b.snapshot()));
     registry_ = std::make_unique<ModelRegistry>(dir_);
   }
   void TearDown() override {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "core/detector.hpp"
 #include "engine/engine.hpp"
 
 namespace mhm {

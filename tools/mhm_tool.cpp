@@ -278,7 +278,7 @@ int cmd_train(const Args& args) {
                 "variance explained %.4f%%\n",
                 training.size(), validation.size(), trace_path->c_str(),
                 100.0 * detector.eigenmemory().variance_explained());
-    save_trained(args, DetectorModel::from_detector(detector));
+    save_trained(args, DetectorModel::from_snapshot(*detector.snapshot()));
     return 0;
   }
 
@@ -299,7 +299,8 @@ int cmd_train(const Args& args) {
               pipe.training.size(),
               100.0 * pipe.det().eigenmemory().variance_explained(),
               pipe.theta_05.log10_value, pipe.theta_1.log10_value);
-  save_trained(args, DetectorModel::from_detector(pipe.det()));
+  save_trained(args,
+               DetectorModel::from_snapshot(*pipe.det().snapshot()));
   return 0;
 }
 
@@ -762,7 +763,7 @@ int cmd_serve(const Args& args) {
   if (const auto registry_dir = args.get_optional("registry")) {
     registry = std::make_shared<ModelRegistry>(*registry_dir);
     const std::uint64_t version =
-        registry->save(DetectorModel::from_detector(pipe.det()));
+        registry->save(DetectorModel::from_snapshot(*model));
     model = ModelSnapshot::assemble(model->pca, model->gmm, model->calibrator,
                                     model->primary.p, model->baseline, version);
     std::printf("model registered as version %llu in %s\n",
