@@ -4,6 +4,10 @@
 #include "obs/prof.hpp"
 
 namespace mhm::obs {
+
+/// `git describe` of the checkout at build time (generated build_git.cpp).
+extern const char* const kBuildGit;
+
 namespace {
 
 /// The runtime-selected SIMD tier of the batch projection kernels. Kept in
@@ -21,11 +25,7 @@ const char* probe_simd_tier() {
 
 BuildInfo make_build_info() {
   BuildInfo info;
-#if defined(MHM_BUILD_GIT)
-  info.git = MHM_BUILD_GIT;
-#else
-  info.git = "unknown";
-#endif
+  info.git = kBuildGit;
 #if defined(__VERSION__)
   info.compiler = __VERSION__;
 #else

@@ -9,7 +9,7 @@ namespace mhm::obs {
 /// block, so a bundle examined offline names the exact build (and SIMD
 /// dispatch tier) that produced it.
 struct BuildInfo {
-  std::string git;       ///< `git describe` at configure time ("unknown" off-tree).
+  std::string git;       ///< `git describe` at build time ("unknown" off-tree).
   std::string compiler;  ///< __VERSION__ of the compiler that built mhm_obs.
   std::string simd;      ///< Runtime-selected projection tier: avx512/avx2/generic.
   bool obs_disabled = false;  ///< True when built with MHM_OBS_DISABLE.
