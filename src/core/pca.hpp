@@ -69,9 +69,9 @@ class Eigenmemory {
     std::uint64_t seed = 20150607;
   };
 
-  /// Truncated top-k fit: the PCA that trains every serving model with a
-  /// fixed L' (AnomalyDetector::train, PhaseAwareDetector::train) and every
-  /// retrain candidate. Picks between two routes — the exact fit() when
+  /// Truncated top-k fit: the PCA that AnomalyDetector::train, the one
+  /// trainer, runs for every model with a fixed L' — offline models and
+  /// retrain candidates alike. Picks between two routes — the exact fit() when
   /// min(N, L) ≤ gram_limit (an eigensolve of that size is cheap), and
   /// randomized subspace iteration with oversampling
   /// (Halko–Martinsson–Tropp) on the N×L data matrix otherwise, which never
